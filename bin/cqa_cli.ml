@@ -137,10 +137,11 @@ let method_arg =
         `Auto
     & info [ "method" ] ~docv:"M"
         ~doc:
-          "CQA method: auto, enum, rewriting, key-rewriting, datalog \
-           (attack-graph Datalog rewriting; acyclic attack graphs under \
-           primary keys), asp or sat (CAvSAT-style SAT compilation; \
-           denial-class constraints).")
+          "CQA method: auto, enum, rewriting (residue), key-rewriting \
+           (the first-order rewriting auto runs on acyclic attack graphs \
+           under primary keys), datalog (the same tier as a Datalog \
+           program on the seminaive evaluator), asp or sat (CAvSAT-style \
+           SAT compilation; denial-class constraints).")
 
 let query_arg =
   Arg.(required & opt (some string) None & info [ "query"; "q" ] ~docv:"NAME" ~doc:"Query name.")

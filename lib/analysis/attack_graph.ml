@@ -15,13 +15,21 @@ type t = {
 
 let atom_rel (q : Cq.t) i = (List.nth q.body i).Atom.rel
 
+let cross_atom_comparison (q : Cq.t) =
+  let free = Cq.head_vars q in
+  List.find_opt
+    (fun c ->
+      let vs = List.filter (fun v -> not (List.mem v free)) (Cmp.vars c) in
+      not
+        (List.exists
+           (fun a -> List.for_all (fun v -> List.mem v (Atom.vars a)) vs)
+           q.body))
+    q.comps
+
 let key_positions keys (a : Atom.t) =
   match List.assoc_opt a.Atom.rel keys with
   | Some ps -> ps
-  | None ->
-      (* No declared key: the relation is never repaired, the whole tuple
-         acts as its own key (same convention as Classify.rewrite_keys). *)
-      List.init (Atom.arity a) Fun.id
+  | None -> List.init (Atom.arity a) Fun.id
 
 (* Distinct key variables of an atom, in key-position order (constants in
    key positions constrain matching but carry no dependency). *)
@@ -151,9 +159,9 @@ let analyze (q : Cq.t) ~keys =
       all
   in
   let cycle =
-    match
-      List.find_opt (fun (i, j) -> strong i j && strong j i) pairs
-    with
+    (* Koutris–Wijsen: a cycle is strong when one of its attacks is, and
+       a strong cycle exists iff a strong 2-cycle does. *)
+    match List.find_opt (fun (i, j) -> strong i j || strong j i) pairs with
     | Some (i, j) -> Some (Strong_pair (i, j))
     | None -> (
         match pairs with

@@ -12,10 +12,10 @@
     {e strong} otherwise.
 
     The trichotomy: an acyclic attack graph means CERTAINTY(q) is
-    FO-rewritable; a cycle whose every 2-cycle contains a weak attack
-    leaves the query in PTIME (L-complete); a 2-cycle with both attacks
-    strong is a sound coNP-hardness witness (the lower-bound reduction
-    builds exactly that configuration).
+    FO-rewritable; a cycle all of whose attacks are weak leaves the query
+    in PTIME (L-complete); a cycle with at least one strong attack makes
+    it coNP-complete, and such a cycle exists iff a 2-cycle with a strong
+    attack does (Koutris–Wijsen 2017).
 
     All functions here are symbolic — query-sized, no data touched. *)
 
@@ -24,12 +24,12 @@ type attack = { source : int; target : int; strong : bool }
 
 type cycle =
   | Strong_pair of int * int
-      (** A 2-cycle with both attacks strong: coNP-hardness witness. *)
+      (** A 2-cycle with at least one strong attack: coNP-hardness
+          witness. *)
   | Weak of int list
-      (** A cycle (atom indices, in order) every 2-cycle of which carries a
-          weak attack: PTIME per the trichotomy, but the Datalog rewriting
-          for this tier needs non-stratified recursion and is not
-          implemented here. *)
+      (** A cycle (atom indices, in order) all of whose attacks are weak:
+          PTIME per the trichotomy, but the recursive Datalog rewriting
+          for this tier is not implemented here. *)
 
 type t = {
   attacks : attack list;  (** Sorted by (source, target). *)
@@ -50,6 +50,17 @@ val analyze : Logic.Cq.t -> keys:(string * int list) list -> t
 val atom_rel : Logic.Cq.t -> int -> string
 (** Relation name of the atom at that body index. *)
 
+val key_positions : (string * int list) list -> Logic.Atom.t -> int list
+(** The atom's key positions; a relation missing from the key map is
+    never repaired and keys on its whole tuple. *)
+
+val cross_atom_comparison : Logic.Cq.t -> Logic.Cmp.t option
+(** The first comparison whose variables, free variables aside, do not
+    all occur in one body atom.  The attack graph ignores comparisons,
+    which is sound only for such atom-local selections: [y ≠ w] across
+    [R(x, y)] and [S(z, w)] acts as a negated join the graph cannot see,
+    and the elimination order then answers wrongly. *)
+
 (** {1 Saturation}
 
     A query is unsaturated when [K(q) \ {key(F) -> vars(F)}] already
@@ -68,7 +79,7 @@ val atom_rel : Logic.Cq.t -> int -> string
     The graph-{e refining} use of internal dependencies (keying [N] on
     [key(F)] to shrink attack sets, Koutris–Wijsen 2019) is future work;
     here saturation is a sound, equivalence-preserving preprocessing step
-    surfaced in the analysis trace and prefixed to the emitted program. *)
+    prefixed to the [method=datalog] program. *)
 
 type derived_fd = {
   atom : int;  (** Index of [F] in [q.body]. *)

@@ -5,42 +5,39 @@
     Koutris–Wijsen trichotomy (PAPER.md Section 3; built on the
     Fuxman–Miller dichotomy of Section 3.1) separates three tiers by the
     shape of the query's {!Attack_graph}: an acyclic attack graph means
-    the certain answers are first-order rewritable; a cyclic graph whose
-    every 2-cycle carries a weak attack leaves certainty in PTIME
-    (L-complete, Datalog-rewritable); a 2-cycle of strong attacks makes
-    it coNP-complete.  The classifier is symbolic — no data touched — and
-    returns a verdict plus a machine-readable witness: the attacking
-    cycle, the elimination order, the saturation steps applied, the
-    non-key constraint, the self-joined relation, ...
+    the certain answers are first-order rewritable (Wijsen 2012); a cycle
+    of weak attacks leaves certainty in PTIME (L-complete); a cycle with a
+    strong attack makes it coNP-complete.  The classifier is symbolic — no
+    data touched — and returns a verdict plus a machine-readable witness:
+    the attacking cycle, the elimination order, the non-key constraint,
+    the self-joined relation, ...
 
     Soundness contract: when the verdict is {!Fo_rewritable}, the
-    Fuxman–Miller rewriting with {!rewrite_keys} is guaranteed to apply
-    and produce exactly the consistent answers (verified symbolically
-    against {!Rewriting.Key_rewrite} before being emitted).  When it is
-    {!L_datalog_rewritable}, {!Rewriting.Datalog_rewrite} driven by
-    {!Attack_graph.rewriting_input} is guaranteed to apply — the attack
-    graph is acyclic but outside the implemented FO fragment, so the
-    engine evaluates the stratified Datalog program instead (PTIME).
-    {!Conp_hard} is a sound {e lower} bound: the witness names a 2-cycle
-    of strong attacks, the configuration of the trichotomy's hardness
-    reduction.  [Unknown] covers everything the analysis does not decide,
-    including weak attack cycles (PTIME in principle, but the recursive
-    rewriting for that tier is not implemented). *)
+    elimination-order rewriting of {!Rewriting.Key_rewrite} with
+    {!rewrite_keys} applies and produces exactly the consistent answers
+    (on NULL-bearing instances, within the fragment its
+    [null_hazard] admits).  {!Conp_hard} is a sound {e lower} bound: the
+    witness names a 2-cycle with a strong attack, the configuration of the
+    trichotomy's hardness reduction.  [Unknown] covers everything the
+    analysis does not decide, including weak attack cycles (PTIME in
+    principle, but no rewriting for that tier is implemented). *)
 
-type verdict = Fo_rewritable | L_datalog_rewritable | Conp_hard | Unknown
+type verdict = Fo_rewritable | Conp_hard | Unknown
 
 type witness =
   | No_constraints  (** No constraint touches the query's relations. *)
-  | C_forest  (** In the rewritable class; the rewriting was verified. *)
-  | Attack_acyclic of { order : string list; saturated : string list }
-      (** Acyclic attack graph outside the C-forest fragment: the
-          unattacked-atom elimination order (relation names) and the
-          saturation steps applied (empty when the query is saturated). *)
+  | Attack_acyclic of string list
+      (** Acyclic attack graph: the unattacked-atom elimination order
+          (relation names) the FO rewriting follows. *)
   | Strong_attack_cycle of string list
-      (** A 2-cycle of strong attacks — the coNP-hardness witness. *)
+      (** A 2-cycle with at least one strong attack — the coNP-hardness
+          witness. *)
   | Weak_attack_cycle of string list
-      (** An attack cycle whose 2-cycles all carry weak attacks: PTIME
-          per the trichotomy, outside the implemented rewritings. *)
+      (** An attack cycle all of whose attacks are weak: PTIME per the
+          trichotomy, outside the implemented rewritings. *)
+  | Cross_atom_comparison of string
+      (** A comparison whose non-free variables span two atoms: an
+          implicit join the attack graph cannot see. *)
   | Unsafe_query of string  (** Head or comparison variable unbound in the body. *)
   | Non_key_constraint of string  (** A relevant constraint outside the key class. *)
   | Multiple_keys of string  (** Relation with two key constraints. *)
@@ -49,9 +46,6 @@ type witness =
           self-join-freeness, classification falls back to [Unknown] (and
           {!Lint.query_findings} surfaces the degradation). *)
   | Union_query of int  (** UCQ with that many disjuncts. *)
-  | Rewrite_failed
-      (** Structural checks passed but the rewriter declined — downgraded
-          to [Unknown] defensively. *)
 
 type t = { verdict : verdict; witness : witness }
 
@@ -65,8 +59,7 @@ val rewrite_keys : Constraints.Ic.t list -> Logic.Cq.t -> (string * int list) li
     repaired, so the full tuple acts as its own key). *)
 
 val verdict_label : verdict -> string
-(** ["FO_rewritable"], ["L_datalog_rewritable"], ["coNP_hard"],
-    ["unknown"]. *)
+(** ["FO_rewritable"], ["coNP_hard"], ["unknown"]. *)
 
 val witness_code : witness -> string
 (** Stable machine-readable code, e.g. ["attack-graph/strong-cycle"]. *)

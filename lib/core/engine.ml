@@ -74,18 +74,13 @@ let by_key_rewriting t q =
   | None -> None
   | Some keys -> Rewriting.Key_rewrite.consistent_answers q ~keys t.instance
 
-(* Sound whenever the classifier places the query in the acyclic
-   attack-graph class (FO or L tier): the verdict already checked that
-   every relevant constraint is a single primary key, so the rewriting's
-   key map covers everything repairs can delete.  [None] otherwise, or
-   when the rewriting itself declines (e.g. NULLs in the instance). *)
+(* [method=datalog]: the attack-graph Datalog program, run on the
+   seminaive evaluator — the paper's Datalog rewriting and a test oracle
+   for the FO route.  [None] off the acyclic tier, or when the program
+   declines the instance (NULLs). *)
 let by_datalog_rewriting t q =
   match Analysis.Classify.classify t.ics q with
-  | {
-      Analysis.Classify.verdict =
-        Analysis.Classify.Fo_rewritable | Analysis.Classify.L_datalog_rewritable;
-      _;
-    } -> (
+  | { Analysis.Classify.verdict = Analysis.Classify.Fo_rewritable; _ } -> (
       let keys = Analysis.Classify.rewrite_keys t.ics q in
       match Analysis.Attack_graph.rewriting_input q ~keys with
       | None -> None
@@ -130,11 +125,6 @@ let plan t q =
            the plain answers are already the certain answers. *)
         `Direct
     | Analysis.Classify.Fo_rewritable, _ -> `Key_rewriting
-    | Analysis.Classify.L_datalog_rewritable, _ ->
-        (* Acyclic attack graph outside the FO fragment: PTIME seminaive
-           evaluation of the emitted Datalog program — no repairs are
-           ever materialized on this branch. *)
-        `Datalog_rewriting
     | Analysis.Classify.Conp_hard, _ when denial_class t ->
         (* The dichotomy's hard side: no FO rewriting exists, but the
            repairs are the maximal independent sets of the conflict
@@ -147,26 +137,33 @@ let plan t q =
   in
   { route; classification }
 
-let run_plan t q p =
-  match p.route with
-  | `Direct -> Logic.Cq.answers q t.instance
-  | `Repair_enumeration -> by_repair_enumeration t q
-  | `Sat_compilation -> by_sat t q
-  | `Key_rewriting -> (
+let c_fallbacks = Obs.Counter.make "engine.fallbacks"
+
+(* Rows and the route that actually produced them.  When the FO
+   rewriting cannot run on the instance (the verdict guarantees the
+   rewriting itself, so only NULLs get here), SAT answers if every
+   constraint is denial-class and enumeration otherwise — counted and
+   traced. *)
+let rec run_plan t q route =
+  match route with
+  | `Direct -> (Logic.Cq.answers q t.instance, route)
+  | `Repair_enumeration -> (by_repair_enumeration t q, route)
+  | `Sat_compilation -> (by_sat t q, route)
+  | `Key_rewriting | `Datalog_rewriting -> (
       let keys = Analysis.Classify.rewrite_keys t.ics q in
       match Rewriting.Key_rewrite.consistent_answers q ~keys t.instance with
-      | Some rows -> rows
+      | Some rows -> (rows, `Key_rewriting)
       | None ->
-          (* The classifier verified the rewriting symbolically, so this
-             is unreachable; enumeration keeps even a divergence sound. *)
-          by_repair_enumeration t q)
-  | `Datalog_rewriting -> (
-      match by_datalog_rewriting t q with
-      | Some rows -> rows
-      | None ->
-          (* Declined at runtime (NULLs in the instance, or a divergence
-             from the symbolic check); enumeration stays sound. *)
-          by_repair_enumeration t q)
+          Obs.Counter.incr c_fallbacks;
+          if Obs.Trace.is_enabled () then
+            Obs.Trace.attr "fallback_reason"
+              (Option.value ~default:"rewriting declined"
+                 (Rewriting.Key_rewrite.null_hazard q ~keys t.instance));
+          let route =
+            if denial_class t then `Sat_compilation else `Repair_enumeration
+          in
+          Obs.Progress.set_branch (route_label route);
+          run_plan t q route)
 
 (* The branch a non-auto method executes — EXPLAIN and the trace
    attrs report it uniformly whether or not planning was involved. *)
@@ -205,9 +202,13 @@ let consistent_answers ?(method_ = `Auto) t q =
         | Some rows -> rows
         | None ->
             let c = Analysis.Classify.classify t.ics q in
+            let keys = Analysis.Classify.rewrite_keys t.ics q in
             invalid_arg
               (Printf.sprintf
-                 "Engine.consistent_answers: key rewriting not applicable: %s"
+                 "Engine.consistent_answers: key rewriting not applicable: %s%s"
+                 (match Rewriting.Key_rewrite.null_hazard q ~keys t.instance with
+                 | Some reason -> reason ^ "; "
+                 | None -> "")
                  (Analysis.Classify.describe c)))
     | `Datalog -> (
         match by_datalog_rewriting t q with
@@ -230,7 +231,10 @@ let consistent_answers ?(method_ = `Auto) t q =
           Obs.Trace.attr "witness"
             (Analysis.Classify.witness_code p.classification.witness)
         end;
-        run_plan t q p
+        let rows, executed = run_plan t q p.route in
+        if Obs.Trace.is_enabled () then
+          Obs.Trace.attr "route_executed" (route_label executed);
+        rows
   with
   | rows ->
       if Obs.Trace.is_enabled () then

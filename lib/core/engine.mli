@@ -42,12 +42,17 @@ type route =
   | `Datalog_rewriting
   | `Sat_compilation
   | `Repair_enumeration ]
-(** What [`Auto] will actually execute: plain evaluation (no relevant
-    constraints), the Fuxman–Miller rewriting, the attack-graph Datalog
-    rewriting (the classifier's [L_datalog_rewritable] tier, run on the
-    seminaive evaluator), CAvSAT-style SAT compilation (the classifier's
-    [Conp_hard] tier under denial-class constraints), or repair
-    enumeration. *)
+(** What [`Auto] plans to execute: plain evaluation (no relevant
+    constraints), the attack-graph FO rewriting (the classifier's
+    [Fo_rewritable] tier, compiled to columnar plans), CAvSAT-style SAT
+    compilation (the classifier's [Conp_hard] tier under denial-class
+    constraints), or repair enumeration.  {!plan} no longer yields
+    [`Datalog_rewriting]; the tag names the [method=datalog] branch.
+    When the FO rewriting cannot run on the instance (its NULLs fall
+    outside {!Rewriting.Key_rewrite.null_hazard}'s fragment), auto falls
+    back to SAT (denial-class constraints) or enumeration, counts
+    [engine.fallbacks], and traces [route_executed] and
+    [fallback_reason] beside [route]. *)
 
 type plan = { route : route; classification : Analysis.Classify.t }
 
@@ -64,17 +69,18 @@ val consistent_answers :
   Logic.Cq.t ->
   Relational.Value.t list list
 (** Consistent answers under S-repairs.  [`Auto] (default) consults
-    {!plan}: the Fuxman–Miller rewriting when the classifier proves the
-    (constraints, query) pair FO-rewritable, the Datalog rewriting on the
-    [L_datalog_rewritable] tier, plain evaluation when no constraint
-    touches the query's relations, SAT compilation on the classifier's
-    coNP-hard tier (denial-class constraints only), and repair
-    enumeration otherwise.  [`Sat] forces the SAT backend
+    {!plan}: the FO rewriting when the classifier proves the
+    (constraints, query) pair FO-rewritable, plain evaluation when no
+    constraint touches the query's relations, SAT compilation on the
+    classifier's coNP-hard tier (denial-class constraints only), and
+    repair enumeration otherwise.  [`Sat] forces the SAT backend
     ({!Cavsat.Certain}) — exact on any denial-class input, raising
-    [Invalid_argument] on inclusion dependencies.  [`Key_rewriting] and
-    [`Datalog] raise [Invalid_argument] when not applicable, with the
-    classifier's witness in the message; [`Residue_rewriting] answers
-    whatever its (incomplete) rewriting produces — see
+    [Invalid_argument] on inclusion dependencies.  [`Datalog] runs the
+    attack-graph Datalog program ({!Rewriting.Datalog_rewrite}) on the
+    seminaive evaluator.  [`Key_rewriting] and [`Datalog] raise
+    [Invalid_argument] when not applicable, with the classifier's
+    witness (and any NULL hazard) in the message; [`Residue_rewriting]
+    answers whatever its (incomplete) rewriting produces — see
     {!Rewriting.Residue_rewrite}. *)
 
 val consistent_answers_c : t -> Logic.Cq.t -> Relational.Value.t list list

@@ -235,8 +235,8 @@ end)
 
 (* --- compiled columnar evaluation ----------------------------------- *)
 
-(* Compilation of the guarded ∃∀-shape the FO rewritings produce
-   (see [Rewriting.Key_rewrite]).  The unit is a *conjunction*: after
+(* Compilation of the guarded shape the FO rewriting produces (see
+   [Rewriting.Key_rewrite]).  The unit is a *conjunction*: after
    [flatten_conj], the items the interpreter evaluates are positive
    atoms (generators), comparisons (definite filters) and guards
    [∀ū (A' → cond1 ∧ ... ∧ condk)] evaluated per generated binding.
@@ -245,13 +245,23 @@ end)
      conj = (⋈ atoms) σ comparisons
             ∖ π( ⋃ per-guard refutation branches )
 
-   where each guard's refutation test ranges over [conj ⋈ A'] (the
-   key-mates of each surviving binding): a negated comparison becomes a
-   disjunctive filter branch, and a child [∃ v̄ conj'] becomes an
-   antijoin against the recursively compiled child conjunction —
-   quantifiers are two-valued exactly as in [eval]/[sat], and a
-   NULL-keyed mate join refutes nothing (NULL never joins), matching
-   the interpreter's definite-match generators.
+   where each guard's refutation test ranges over the mate join
+   [conj ⋈ A'] (the key-mates of each surviving binding).  A bare
+   comparison refutes where its negation is definitely true (a
+   disjunctive filter branch); [False] refutes every mate; a child
+   [∃ v̄ conj'] refutes wherever conj' is not definitely true —
+   quantifiers are two-valued exactly as in [eval]/[sat]:
+   - when every variable conj' takes from outside occurs in one of its
+     atoms, conj' compiles on its own and the branch is an antijoin on
+     those variables (a NULL there joins nothing and so refutes, like
+     the interpreter's definite-match generators; a NULL-keyed mate join
+     refutes nothing);
+   - when conj' is comparisons over columns without NULLs, "not
+     definitely true" is "some negation definitely true": the negations
+     join the filter branch;
+   - otherwise conj' is compiled on top of the mate join itself, tagged
+     with a row-identity column, and the branch keeps the mate rows
+     whose identity does not come through.
 
    Conditions of any other shape — in particular a bare atom, which
    [eval] judges in three-valued logic where [False] (no row matches
@@ -295,12 +305,59 @@ let plan_of_formula inst f =
     if not (List.for_all (fun v -> List.mem v cols) vs) then
       raise Unsupported_plan
   in
-  (* Row-identity column for guard subtraction; the leading '#' keeps it
-     out of the variable namespace (like [Instance.tid_column]). *)
-  let ord_col = "#ord" in
+  (* Materialize [plan] with a synthetic row-identity column, so (a) the
+     plan tree — which has no sharing — does not re-execute it per use
+     and (b) rows are subtracted by identity with a raw-int antijoin.
+     The leading '#' keeps the column out of the variable namespace (like
+     [Instance.tid_column]). *)
+  let ids = ref 0 in
+  let with_identity plan =
+    let tbl = Plan.run inst plan in
+    let n = Columnar.length tbl in
+    incr ids;
+    let id = Printf.sprintf "#ord%d" !ids in
+    ( id,
+      Plan.Table
+        (Columnar.make
+           (Array.append (Columnar.cols tbl) [| id |])
+           (Array.append (Columnar.columns tbl)
+              [| Relational.Column.of_ints (Array.init n Fun.id) |])
+           n) )
+  in
+  (* Columns of a mate join (materialized table ⋈ scan) that may hold
+     NULL, from the columnar NULL bitmaps. *)
+  let rec nullable = function
+    | Plan.Table tbl ->
+        List.filter
+          (fun c -> Relational.Column.has_nulls (Columnar.column tbl c))
+          (Array.to_list (Columnar.cols tbl))
+    | Plan.Scan { rel; args; _ } ->
+        let tbl = Instance.columnar inst ~rel in
+        let attrs = (Relational.Schema.relation schema rel).attributes in
+        List.concat
+          (List.mapi
+             (fun p arg ->
+               match arg with
+               | Plan.Avar x
+                 when p >= Array.length attrs
+                      || Relational.Column.has_nulls
+                           (Columnar.column tbl attrs.(p)) ->
+                   [ x ]
+               | _ -> [])
+             args)
+    | Plan.Join (a, b) -> nullable a @ nullable b
+    | p -> Plan.cols p
+  in
+  let null_free ns (c : Cmp.t) =
+    List.for_all
+      (function
+        | Term.Var x -> not (List.mem x ns)
+        | Term.Const v -> not (Value.is_null v))
+      [ c.left; c.right ]
+  in
   (* Rows binding the conjunction's variables so that every item is
-     definitely true. *)
-  let rec compile_conj items =
+     definitely true; [ctx] is a table the rows must extend. *)
+  let rec compile_conj ?ctx items =
     if List.mem False items then `Empty
     else begin
       let atoms, guards, cmps =
@@ -317,100 +374,110 @@ let plan_of_formula inst f =
             | _ -> raise Unsupported_plan)
           ([], [], []) items
       in
-      let atoms = List.rev atoms
-      and guards = List.rev guards
-      and cmps = List.rev cmps in
-      match atoms with
+      let guards = List.rev guards and cmps = List.rev cmps in
+      match Option.to_list ctx @ List.rev_map scan_plan atoms with
       | [] -> raise Unsupported_plan (* atomless bodies: active domain *)
       | first :: rest ->
-          let scan_cols a =
-            let p = scan_plan a in
-            (p, Plan.cols p)
-          in
           let joined, all_cols =
             List.fold_left
-              (fun (plan, vars) (p, vs) ->
+              (fun (plan, vars) p ->
                 ( Plan.Join (plan, p),
-                  vars @ List.filter (fun v -> not (List.mem v vars)) vs ))
-              (scan_cols first)
-              (List.map scan_cols rest)
+                  vars
+                  @ List.filter (fun v -> not (List.mem v vars)) (Plan.cols p)
+                ))
+              (first, Plan.cols first)
+              rest
           in
           let preds = List.map (pred_of all_cols) cmps in
           let filtered =
             if preds = [] then joined else Plan.Filter (Plan.All preds, joined)
           in
-          (* When guards are present the conjunction table feeds the
-             refutation subtraction AND every guard's mate join:
-             materialize it once, with a synthetic ordinal column, so
-             (a) the plan tree — which has no sharing — does not
-             re-execute it per use and (b) refuted rows are subtracted
-             by row identity with a raw-int antijoin instead of a
-             value-keyed diff.  A guard refutes a binding by its
-             values alone, and value-equal rows pick up the same mate
-             matches, so identity subtraction removes exactly the
-             value-refuted rows. *)
-          let filtered =
-            if guards = [] then filtered
-            else begin
-              let tbl = Plan.run inst filtered in
-              let n = Columnar.length tbl in
-              let ord = Relational.Column.of_ints (Array.init n Fun.id) in
-              Plan.Table
-                (Columnar.make
-                   (Array.append (Columnar.cols tbl) [| ord_col |])
-                   (Array.append (Columnar.columns tbl) [| ord |])
-                   n)
-            end
-          in
-          let bads =
-            List.concat_map
-              (fun (mate, conds) ->
-                let jm = Plan.Join (filtered, scan_plan mate) in
-                let jm_cols = Plan.cols jm in
-                let neg_preds = ref [] and makers = ref [] in
-                List.iter
-                  (fun cond ->
-                    match cond with
-                    | Cmp c ->
-                        neg_preds := pred_of jm_cols (Cmp.negate c) :: !neg_preds
-                    | False -> makers := `Jm :: !makers
-                    | Exists (vs, g) -> (
-                        match compile_conj (flatten_conj g) with
-                        | `Empty -> makers := `Jm :: !makers
-                        | `Plan (child, child_cols) ->
-                            require vs child_cols;
-                            makers := `Anti child :: !makers)
-                    | _ -> raise Unsupported_plan)
-                  (flatten_conj conds);
-                let neg_preds = List.rev !neg_preds and makers = List.rev !makers in
-                (* Same sharing argument for the mate join when several
-                   refutation branches range over it. *)
-                let uses =
-                  (if neg_preds = [] then 0 else 1) + List.length makers
-                in
-                let jm = if uses > 1 then Plan.Table (Plan.run inst jm) else jm in
-                (match neg_preds with
-                | [] -> []
-                | ps -> [ Plan.Filter (Plan.Any ps, jm) ])
-                @ List.map
-                    (function
-                      | `Jm -> jm
-                      | `Anti child -> Plan.Antijoin (jm, child))
-                    makers)
-              guards
-          in
-          let plan =
-            if guards = [] then filtered
-            else
-              Plan.Project
-                ( all_cols,
+          if guards = [] then `Plan (filtered, all_cols)
+          else begin
+            (* The conjunction table feeds the subtraction AND every
+               guard's mate join.  A guard refutes a binding by its values
+               alone, and value-equal rows pick up the same mate matches,
+               so identity subtraction removes exactly the value-refuted
+               rows. *)
+            let ord, filtered = with_identity filtered in
+            let plan =
+              List.fold_left
+                (fun acc (mate, conds) ->
                   List.fold_left
-                    (fun acc b ->
-                      Plan.Antijoin (acc, Plan.Project ([ ord_col ], b)))
-                    filtered bads )
-          in
-          `Plan (plan, all_cols)
+                    (fun acc b -> Plan.Antijoin (acc, Plan.Project ([ ord ], b)))
+                    acc
+                    (refutations filtered mate conds))
+                filtered guards
+            in
+            `Plan (Plan.Project (all_cols, plan), all_cols)
+          end
     end
+  (* The mate-join rows refuted by one guard, one plan per branch. *)
+  and refutations filtered mate conds =
+    let jm = Plan.Join (filtered, scan_plan mate) in
+    let jm_cols = Plan.cols jm in
+    let ns = nullable jm in
+    let neg_preds = ref [] and makers = ref [] in
+    let refute_unless c = neg_preds := pred_of jm_cols (Cmp.negate c) :: !neg_preds in
+    List.iter
+      (fun cond ->
+        match cond with
+        | Cmp c -> refute_unless c
+        | False -> makers := `Jm :: !makers
+        | Exists (vs, g) -> (
+            let items = flatten_conj g in
+            let outer =
+              List.filter (fun v -> not (List.mem v vs)) (free_vars g)
+            in
+            let generated =
+              List.concat_map (function Atom a -> Atom.vars a | _ -> []) items
+            in
+            let cmp_only =
+              List.filter_map (function Cmp c -> Some c | _ -> None) items
+            in
+            if
+              generated <> []
+              && List.for_all (fun v -> List.mem v generated) outer
+            then
+              match compile_conj items with
+              | `Empty -> makers := `Jm :: !makers
+              | `Plan (child, child_cols) ->
+                  require vs child_cols;
+                  makers := `Anti child :: !makers
+            else if
+              vs = []
+              && List.length cmp_only = List.length items
+              && List.for_all (null_free ns) cmp_only
+            then List.iter refute_unless cmp_only
+            else
+              makers :=
+                `Ctx (vs, items, List.filter (fun v -> List.mem v jm_cols) outer)
+                :: !makers)
+        | _ -> raise Unsupported_plan)
+      (flatten_conj conds);
+    let neg_preds = List.rev !neg_preds and makers = List.rev !makers in
+    let uses = (if neg_preds = [] then 0 else 1) + List.length makers in
+    (* Same sharing argument for the mate join when several refutation
+       branches range over it, and its own identity for context-extended
+       children. *)
+    let id, jm =
+      if List.exists (function `Ctx _ -> true | _ -> false) makers then
+        with_identity jm
+      else if uses > 1 then ("", Plan.Table (Plan.run inst jm))
+      else ("", jm)
+    in
+    (match neg_preds with [] -> [] | ps -> [ Plan.Filter (Plan.Any ps, jm) ])
+    @ List.map
+        (function
+          | `Jm -> jm
+          | `Anti child -> Plan.Antijoin (jm, child)
+          | `Ctx (vs, items, needed) -> (
+              match compile_conj ~ctx:(Plan.Project (id :: needed, jm)) items with
+              | `Empty -> jm
+              | `Plan (child, child_cols) ->
+                  require vs child_cols;
+                  Plan.Antijoin (jm, Plan.Project ([ id ], child))))
+        makers
   in
   let evars, body = strip_exists f in
   match compile_conj (flatten_conj body) with

@@ -68,13 +68,15 @@ val answers :
 
     When {!Relational.Columnar.enabled} (the default) and the formula has
     the guarded ∃∀-shape the FO rewritings produce — a conjunction of
-    atoms, guarded atoms [A ∧ ∀ū (A' → conds)] and comparisons under an
-    existential prefix — evaluation compiles to a fused columnar
-    {!Relational.Plan}: guards subtract the rows refuted by each
-    refutation branch (negated-comparison filters and antijoins against
-    child guards) via row-identity antijoins on a synthetic ordinal
-    column.  Same answers, same order; other shapes (and free
-    variables needing active-domain enumeration) keep the generator-driven
-    interpreter, counted by [scan.row]. *)
+    atoms, guards [∀ū (A' → conds)] and comparisons under an existential
+    prefix, where a condition is a comparison, [False] or a nested
+    [∃ v̄ conj] (also with no variables) — evaluation compiles to a fused
+    columnar {!Relational.Plan}: guards subtract the rows refuted by
+    each refutation branch (negated-comparison filters, antijoins
+    against child conjunctions, or a child compiled on top of the mate
+    join when it reads variables bound only outside it) via row-identity
+    antijoins on synthetic ordinal columns.  Same answers, same order;
+    other shapes (and free variables needing active-domain enumeration)
+    keep the generator-driven interpreter, counted by [scan.row]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -19,10 +19,7 @@ let good_pred l = Printf.sprintf "cqa$good%d" l
 let u_name l pos = Printf.sprintf "u$%d_%d" l pos
 let e_name l pos = Printf.sprintf "e$%d_%d" l pos
 
-let key_positions keys (a : Atom.t) =
-  match List.assoc_opt a.Atom.rel keys with
-  | Some ps -> ps
-  | None -> List.init (Atom.arity a) Fun.id
+let key_positions = Analysis.Attack_graph.key_positions
 
 exception Unsupported
 

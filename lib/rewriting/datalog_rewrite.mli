@@ -1,5 +1,8 @@
-(** Certain answers by Datalog rewriting — the executable side of the
-    Koutris–Wijsen attack-graph analysis.
+(** Certain answers by a Datalog program — the paper's Datalog reading of
+    the Koutris–Wijsen attack-graph analysis, run only for
+    [method=datalog] and as a test oracle: [method=auto] answers the same
+    acyclic tier with the first-order rewriting of {!Key_rewrite},
+    compiled to columnar plans.
 
     For a self-join-free conjunctive query with an acyclic attack graph,
     certainty reduces one atom at a time: eliminating an unattacked atom
@@ -19,8 +22,7 @@
     where [W_i] is the context — the variables shared between the already
     eliminated prefix (plus the free variables) and the remaining suffix
     (plus pending comparisons) — and κ̅ are the key variables first bound
-    at this level.  The scheme strictly generalizes the Fuxman–Miller
-    ∃∀-rewriting: repeated variables inside an atom, free variables in
+    at this level.  Repeated variables inside an atom, free variables in
     non-key joins, and constants all compile to per-tuple comparisons in
     [good_i].  The program runs on {!Datalog.Eval} (seminaive, stratified
     negation).

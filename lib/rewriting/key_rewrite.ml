@@ -4,223 +4,146 @@ module Atom = Logic.Atom
 module Term = Logic.Term
 module Cmp = Logic.Cmp
 module Subst = Logic.Subst
-
-type atom_info = {
-  index : int;
-  atom : Atom.t;
-  key_positions : int list;
-}
-
-let var_positions (a : Atom.t) =
-  List.mapi (fun pos t -> (pos, t)) a.args
-
-(* Occurrences of a variable: (atom index, position, in-key?). *)
-let occurrences atoms =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun info ->
-      List.iter
-        (fun (pos, t) ->
-          match t with
-          | Term.Var v ->
-              let in_key = List.mem pos info.key_positions in
-              Hashtbl.replace tbl v
-                ((info.index, pos, in_key)
-                :: Option.value ~default:[] (Hashtbl.find_opt tbl v))
-          | Term.Const _ -> ())
-        (var_positions info.atom))
-    atoms;
-  tbl
+module Attack_graph = Analysis.Attack_graph
+module Instance = Relational.Instance
 
 exception Unsupported
 
 let c_applicable = Obs.Counter.make "rewrite.key_applicable"
 let c_unsupported = Obs.Counter.make "rewrite.key_unsupported"
 
-let check_class (q : Cq.t) infos occ =
-  (* Self-join-free. *)
-  let rels = List.map (fun i -> i.atom.Atom.rel) infos in
-  if List.length (List.sort_uniq String.compare rels) <> List.length rels then
-    raise Unsupported;
-  let head = Cq.head_vars q in
-  Hashtbl.iter
-    (fun v os ->
-      let nonkey = List.filter (fun (_, _, k) -> not k) os in
-      (* A variable in non-key positions of two different atoms is a
-         non-key-to-non-key join: outside the forest class. *)
-      let nonkey_atoms =
-        List.sort_uniq compare (List.map (fun (i, _, _) -> i) nonkey)
-      in
-      if List.length nonkey_atoms > 1 && not (List.mem v head) then
-        raise Unsupported;
-      if List.length nonkey_atoms > 1 && List.mem v head then
-        (* Head variables repeated across non-key positions force agreement
-           conditions we do not generate. *)
-        raise Unsupported;
-      (* Repeated variable inside a single atom behaves like a self-join. *)
-      let by_pos = List.sort_uniq compare (List.map (fun (i, p, _) -> (i, p)) os) in
-      if List.length by_pos <> List.length os then raise Unsupported)
-    occ
+let key_positions = Attack_graph.key_positions
 
-(* Parent→child edges: parent has v in a non-key position, child has v in a
-   key position. *)
-let children_of occ v parent_index =
-  match Hashtbl.find_opt occ v with
-  | None -> []
-  | Some os ->
-      List.filter_map
-        (fun (i, _, in_key) ->
-          if in_key && i <> parent_index then Some i else None)
-        os
-      |> List.sort_uniq compare
+let whole_key keys (a : Atom.t) =
+  List.for_all
+    (fun p -> List.mem p (key_positions keys a))
+    (List.init (Atom.arity a) Fun.id)
 
-let check_acyclic infos occ =
-  let n = List.length infos in
-  let adj = Array.make n [] in
-  List.iter
-    (fun info ->
-      List.iter
-        (fun (pos, t) ->
-          match t with
-          | Term.Var v when not (List.mem pos info.key_positions) ->
-              adj.(info.index) <- children_of occ v info.index @ adj.(info.index)
-          | Term.Var _ | Term.Const _ -> ())
-        (var_positions info.atom))
-    infos;
-  let state = Array.make n 0 in
-  let rec dfs i =
-    if state.(i) = 1 then raise Unsupported;
-    if state.(i) = 0 then begin
-      state.(i) <- 1;
-      List.iter dfs adj.(i);
-      state.(i) <- 2
-    end
-  in
-  for i = 0 to n - 1 do
-    dfs i
-  done
+let subset xs ys = List.for_all (fun x -> List.mem x ys) xs
 
 let rewrite (q : Cq.t) ~keys =
-  let infos =
-    List.mapi
-      (fun index atom ->
-        match List.assoc_opt atom.Atom.rel keys with
-        | None -> raise Unsupported
-        | Some key_positions -> { index; atom; key_positions })
-      q.body
+  let rels = List.map (fun (a : Atom.t) -> a.Atom.rel) q.body in
+  if
+    q.body = []
+    || List.length (List.sort_uniq String.compare rels) <> List.length rels
+    || (not
+          (subset
+             (Cq.head_vars q @ List.concat_map Cmp.vars q.comps)
+             (Cq.body_vars q)))
+    || Attack_graph.cross_atom_comparison q <> None
+    || List.exists
+         (fun r -> List.length (List.filter (fun (r', _) -> r = r') keys) > 1)
+         rels
+  then raise Unsupported;
+  let order =
+    match (Attack_graph.analyze q ~keys).order with
+    | Some order -> order
+    | None -> raise Unsupported
   in
-  let occ = occurrences infos in
-  check_class q infos occ;
-  check_acyclic infos occ;
-  let head = Cq.head_vars q in
-  let fresh =
-    let counter = ref 0 in
-    fun base ->
-      incr counter;
-      Printf.sprintf "%s#%d" base !counter
+  let atoms = Array.of_list (List.map (List.nth q.body) order) in
+  let n = Array.length atoms in
+  (* before.(l): the variables bound ahead of level l — the free ones and
+     those of the atoms eliminated earlier. *)
+  let before = Array.make (n + 1) (Cq.head_vars q) in
+  for l = 0 to n - 1 do
+    before.(l + 1) <-
+      before.(l)
+      @ List.filter (fun v -> not (List.mem v before.(l))) (Atom.vars atoms.(l))
+  done;
+  (* The comparisons that become ground at level l. *)
+  let cmps s l =
+    List.filter_map
+      (fun c ->
+        let vs = Cmp.vars c in
+        if subset vs before.(l + 1) && not (subset vs before.(l)) then
+          Some (Formula.Cmp (Subst.apply_cmp s c))
+        else None)
+      q.comps
   in
-  let info_array = Array.of_list infos in
-  let comps_of v = List.filter (fun c -> List.mem v (Cmp.vars c)) q.comps in
-  (* The consistency guard for one atom occurrence, with [subst] renaming
-     its key-side variables (identity at the top level, parent-driven inside
-     guards).  For every key-mate ū of the atom's key values, the non-key
-     conditions must re-hold at ū. *)
-  let rec guarded subst info =
-    let atom = Subst.apply_atom subst info.atom in
-    let nonkey_positions =
-      List.filter
-        (fun (pos, _) -> not (List.mem pos info.key_positions))
-        (var_positions info.atom)
+  let counter = ref 0 in
+  let fresh base =
+    incr counter;
+    Printf.sprintf "%s#%d" base !counter
+  in
+  (* Conjuncts for levels l.. once [s] names the variables bound ahead of
+     level l: the level's generator with its new variables renamed fresh,
+     then its guard — or, for an atom keyed on its whole tuple (never
+     repaired), its comparisons and the next level in the same
+     conjunction.  Also returns the fresh names the enclosing ∃ binds. *)
+  let rec level l s =
+    if l = n then ([], [])
+    else
+      let a = atoms.(l) in
+      let s, vs =
+        List.fold_left
+          (fun (s, vs) v ->
+            if List.mem v before.(l) then (s, vs)
+            else
+              let v' = fresh v in
+              (Subst.bind s v (Term.Var v'), vs @ [ v' ]))
+          (s, []) (Atom.vars a)
+      in
+      let gen = Formula.Atom (Subst.apply_atom s a) in
+      if whole_key keys a then
+        let items, vs' = level (l + 1) s in
+        ((gen :: cmps s l) @ items, vs @ vs')
+      else (gen :: guard l s, vs)
+  (* ∀ū (A(key, ū) → ∃v̄ (conds ∧ comparisons ∧ next level)), where every
+     non-key variable first seen here is read off the mate. *)
+  and guard l s =
+    let a = atoms.(l) in
+    let keyp = key_positions keys a in
+    let key_vars =
+      Term.vars (List.filteri (fun p _ -> List.mem p keyp) a.Atom.args)
     in
-    let mates =
-      List.map
-        (fun (pos, _) -> (pos, fresh (Printf.sprintf "u%d_%d" info.index pos)))
-        nonkey_positions
-    in
-    let mate_atom_args =
-      List.mapi
-        (fun pos t ->
-          match List.assoc_opt pos mates with
-          | Some u -> Term.Var u
-          | None -> Subst.apply_term subst t)
-        info.atom.Atom.args
-    in
-    let mate_atom = Atom.make info.atom.Atom.rel mate_atom_args in
-    let conds =
-      List.concat_map
-        (fun (pos, t) ->
-          let u = Term.Var (List.assoc pos mates) in
-          match t with
-          | Term.Const c -> [ Formula.Cmp (Cmp.eq u (Term.Const c)) ]
-          | Term.Var v ->
-              let as_head =
-                if List.mem v head then
-                  [ Formula.Cmp (Cmp.eq u (Term.Var v)) ]
-                else []
-              in
-              let as_comps =
-                List.map
-                  (fun c ->
-                    Formula.Cmp (Subst.apply_cmp (Subst.singleton v u) c))
-                  (comps_of v)
-              in
-              let as_children =
-                List.map
-                  (fun child ->
-                    child_formula (Subst.bind subst v u) info_array.(child))
-                  (children_of occ v info.index)
-              in
-              (* Only generate the child checks for existential variables;
-                 for head variables the equality already pins the value. *)
-              if as_head <> [] then as_head @ as_comps
-              else as_comps @ as_children)
-        nonkey_positions
-    in
-    let conds = List.filter (fun f -> f <> Formula.True) conds in
-    match conds with
-    | [] -> Formula.Atom atom
-    | _ ->
-        Formula.And
-          ( Formula.Atom atom,
-            Formula.forall
-              (List.map snd mates)
-              (Formula.Implies (Formula.Atom mate_atom, Formula.conj conds)) )
-  (* A child atom re-checked inside a parent's guard: its own existential
-     non-key variables get fresh names, and its subtree guard applies. *)
-  and child_formula subst info =
-    let freshened =
+    let _, s', rev_args, us, conds =
       List.fold_left
-        (fun s (pos, t) ->
-          match t with
-          | Term.Var v
-            when (not (List.mem pos info.key_positions))
-                 && (not (List.mem v head))
-                 && Subst.find s v = None ->
-              Subst.bind s v (Term.Var (fresh v))
-          | Term.Var _ | Term.Const _ -> s)
-        subst (var_positions info.atom)
+        (fun (p, s', args, us, conds) t ->
+          if List.mem p keyp then
+            (p + 1, s', Subst.apply_term s t :: args, us, conds)
+          else
+            let u = fresh "u" in
+            let eq t = [ Formula.Cmp (Cmp.eq (Term.Var u) t) ] in
+            let s', conds =
+              match t with
+              | Term.Var v
+                when not
+                       (List.mem v before.(l) || List.mem v key_vars
+                      || Subst.find s' v <> Subst.find s v) ->
+                  (Subst.bind s' v (Term.Var u), conds)
+              | t -> (s', conds @ eq (Subst.apply_term s' t))
+            in
+            (p + 1, s', Term.Var u :: args, us @ [ u ], conds))
+        (0, s, [], [], []) a.Atom.args
     in
-    let bound =
-      List.filter_map
-        (fun (pos, t) ->
-          match t with
-          | Term.Var v when not (List.mem pos info.key_positions) -> (
-              match Subst.find freshened v with
-              | Some (Term.Var v') when not (String.equal v v') -> Some v'
-              | _ -> None)
-          | Term.Var _ | Term.Const _ -> None)
-        (var_positions info.atom)
-    in
-    Formula.exists bound (guarded freshened info)
+    let items, vs = level (l + 1) s' in
+    match conds @ cmps s' l @ items with
+    | [] -> []
+    | body ->
+        [
+          Formula.Forall
+            ( us,
+              Formula.Implies
+                ( Formula.Atom (Atom.make a.Atom.rel (List.rev rev_args)),
+                  Formula.Exists (vs, Formula.conj body) ) );
+        ]
   in
-  let body = List.map (guarded Subst.empty) infos in
-  let comps = List.map (fun c -> Formula.Cmp c) q.comps in
-  let evars = Cq.existential_vars q in
-  Some (Formula.exists evars (Formula.conj (body @ comps)))
+  (* The top conjunction binds every variable, so leading whole-key atoms
+     need no further check. *)
+  let rec top l =
+    if l = n then []
+    else if whole_key keys atoms.(l) then top (l + 1)
+    else guard l Subst.empty
+  in
+  Formula.exists (Cq.existential_vars q)
+    (Formula.conj
+       (List.map (fun a -> Formula.Atom a) q.body
+       @ List.map (fun c -> Formula.Cmp c) q.comps
+       @ top 0))
 
 let rewrite q ~keys =
   let sp = Obs.Trace.start "rewrite.key" in
-  let result = try rewrite q ~keys with Unsupported -> None in
+  let result = try Some (rewrite q ~keys) with Unsupported -> None in
   (match result with
   | Some _ -> Obs.Counter.incr c_applicable
   | None -> Obs.Counter.incr c_unsupported);
@@ -229,10 +152,65 @@ let rewrite q ~keys =
   Obs.Trace.finish sp;
   result
 
+(* Some key block of [rel] (non-NULL key) with two or more tuples, one of
+   them holding a NULL: the NULL rows come off the columnar bitmaps, their
+   blocks from the key index. *)
+let null_in_shared_block inst ~rel cols keyp =
+  let shared i =
+    Array.exists (fun c -> Relational.Column.is_null c i) cols
+    &&
+    let bound =
+      List.map (fun p -> (p, Relational.Column.get cols.(p) i)) keyp
+    in
+    List.length (Instance.matching_tuples inst ~rel ~bound) > 1
+  in
+  let n = Relational.Column.length cols.(0) in
+  let rec go i = i < n && (shared i || go (i + 1)) in
+  go 0
+
+let null_hazard (q : Cq.t) ~keys inst =
+  let schema = Instance.schema inst in
+  let args = List.concat_map (fun (a : Atom.t) -> a.Atom.args) q.body in
+  let free_once t =
+    Term.vars [ t ] <> []
+    && subset (Term.vars [ t ]) (Cq.head_vars q)
+    && List.length (List.filter (Term.equal t) args) = 1
+  in
+  let atom_hazard (a : Atom.t) =
+    let rel = a.Atom.rel in
+    let tbl = Instance.columnar inst ~rel in
+    let cols =
+      Array.map (Relational.Columnar.column tbl)
+        (Relational.Schema.relation schema rel).attributes
+    in
+    let keyp = key_positions keys a and keyed = not (whole_key keys a) in
+    let shared = lazy (null_in_shared_block inst ~rel cols keyp) in
+    List.find_map
+      (fun (p, t) ->
+        let why what = Some (Printf.sprintf "NULL %s of %s" what rel) in
+        if not (Relational.Column.has_nulls cols.(p)) then None
+        else if free_once t then
+          why (Format.asprintf "under head variable %a" Term.pp t)
+        else if keyed && List.mem p keyp && Term.vars [ t ] <> [] then
+          why "in a key position"
+        else if keyed && Lazy.force shared then
+          why "in a key block with two or more tuples"
+        else None)
+      (List.mapi (fun p t -> (p, t)) a.Atom.args)
+  in
+  List.find_map
+    (fun (a : Atom.t) ->
+      if
+        Relational.Schema.mem schema a.Atom.rel
+        && Relational.Schema.arity schema a.Atom.rel = Atom.arity a
+      then atom_hazard a
+      else None)
+    q.body
+
 let consistent_answers q ~keys inst =
   match rewrite q ~keys with
-  | None -> None
-  | Some f ->
+  | Some f when null_hazard q ~keys inst = None ->
       Some
         (Obs.Trace.with_span "rewrite.eval" (fun () ->
              Formula.answers inst ~free:(Cq.head_vars q) f))
+  | _ -> None

@@ -136,6 +136,14 @@ let rewritable_queries =
     Cq.make ~name:"constnk" [ x ] [ Atom.make "R" [ x; Term.const (Value.int 2) ] ];
     (* Full-tuple query: no mates to refute, plain conjunction plan. *)
     Cq.make ~name:"full" [ x; y ] [ Atom.make "R" [ x; y ] ];
+    (* Outside the C-forest: joins into a key that the free variable
+       closes, a non-key-to-non-key join. *)
+    Cq.make ~name:"pair" [ x ] [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; x ] ];
+    Cq.make ~name:"hard" [ x ] [ Atom.make "R" [ x; y ]; Atom.make "S" [ z; y ] ];
+    (* A comparison on an outer variable inside the child's guard: the
+       child compiles on top of the parent's mate join. *)
+    Cq.make ~name:"outer" ~comps:[ Cmp.make Cmp.Lt x z ] [ x ]
+      [ Atom.make "R" [ x; y ]; Atom.make "S" [ y; z ] ];
   ]
 
 let prop_rewrite_columnar_eq =
@@ -145,10 +153,10 @@ let prop_rewrite_columnar_eq =
       let db = instance_of db_spec in
       List.for_all
         (fun q ->
-          with_columnar false (fun () ->
-              Rewriting.Key_rewrite.consistent_answers q ~keys db)
-          = with_columnar true (fun () ->
-                Rewriting.Key_rewrite.consistent_answers q ~keys db))
+          let f = Option.get (Rewriting.Key_rewrite.rewrite q ~keys) in
+          let free = Cq.head_vars q in
+          with_columnar false (fun () -> Formula.answers db ~free f)
+          = with_columnar true (fun () -> Formula.answers db ~free f))
         rewritable_queries)
 
 let prop_formula_columnar_eq =

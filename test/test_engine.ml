@@ -64,7 +64,19 @@ let test_key_rewriting_refuses_denials () =
     Alcotest.(list (list string))
     "S certain members"
     [ [ "a2" ] ]
-    (rows_to_strings rows)
+    (rows_to_strings rows);
+  (* Two keys on one relation: a rewriting over either key alone would
+     keep tuples the other key makes conflict. *)
+  let two_keys =
+    Engine.create ~schema:Employee.schema
+      ~ics:[ Employee.key; Constraints.Ic.key ~rel:"Employee" [ 1 ] ]
+      Employee.instance
+  in
+  match Engine.consistent_answers ~method_:`Key_rewriting two_keys q_proj with
+  | _ -> Alcotest.fail "key rewriting accepted two keys on one relation"
+  | exception Invalid_argument msg ->
+      check Alcotest.bool "refusal names the multiple keys" true
+        (contains ~sub:"constraints/multiple-keys" msg)
 
 let test_engine_misc () =
   check Alcotest.bool "inconsistent" false (Engine.is_consistent employee_engine);
