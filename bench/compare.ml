@@ -114,8 +114,10 @@ let small_slack ~base ~fresh =
   (* integer noise floor for tiny counts *)
   Float.abs (fresh -. base) <= 2.0 && Float.abs base < 100.0
 
-let compare_field opts ~row ~field ~base ~fresh =
-  let kind = classify field in
+(* Row fields pass the kind their name says ({!classify}); top-level
+   counters pass [Counter] whatever their name, so a drop reads as an
+   improvement rather than symmetric drift. *)
+let compare_field opts ~kind ~row ~field ~base ~fresh =
   let change = rel_change ~base ~fresh in
   let status =
     match kind with
@@ -155,7 +157,10 @@ let compare_row opts key base_row fresh_row =
   List.filter_map
     (fun (field, base) ->
       match List.assoc_opt field fresh_fields with
-      | Some fresh -> Some (compare_field opts ~row:key ~field ~base ~fresh)
+      | Some fresh ->
+          Some
+            (compare_field opts ~kind:(classify field) ~row:key ~field ~base
+               ~fresh)
       | None ->
           Some
             {
@@ -194,8 +199,7 @@ let compare_counter opts (name, base) fresh_counters =
         status = Missing;
       }
   | Some fresh ->
-      let f = compare_field opts ~row:"counters" ~field:name ~base ~fresh in
-      { f with kind = Counter }
+      compare_field opts ~kind:Counter ~row:"counters" ~field:name ~base ~fresh
 
 let compare_docs opts base_doc fresh_doc =
   let base_rows = rows_of base_doc and fresh_rows = rows_of fresh_doc in

@@ -416,8 +416,10 @@ let report_cmd =
       & opt (some file) None
       & info [ "events" ] ~docv:"EVENTS.jsonl"
           ~doc:
-            "The matching --events log; tail_trace/slow_query/anchor \
-             records are summarized next to the statements store.")
+            "The matching --events log; its records (request, tail_trace \
+             for each retained slow, errored or sampled request, anchor) \
+             are counted by kind next to the statements store, with the \
+             wall-clock anchors listed.")
   in
   let top_arg =
     Arg.(

@@ -7,10 +7,9 @@ open Cmdliner
 
 let version = "1.0.0"
 
-let run unix_path port cache_capacity max_requests metrics_dump trace_dir jobs
-    metrics_port slow_ms events_path workload_capacity workload_dump
-    tail_sample_ms tail_sample_every tail_buffer default_timeout_ms =
-  Par.set_default_jobs jobs;
+let run unix_path port cache_capacity max_requests metrics_dump trace_dir
+    metrics_port events_path workload_capacity workload_dump tail_sample_ms
+    tail_sample_every default_timeout_ms =
   let fd, where =
     match
       match port with
@@ -40,11 +39,11 @@ let run unix_path port cache_capacity max_requests metrics_dump trace_dir jobs
               (Unix.error_message e);
             exit 1)
   in
-  (* The event log: --events PATH, or stderr when --slow-ms is set
-     without a destination (a slow-query log you ask for should go
+  (* The event log: --events PATH, or stderr when a latency threshold is
+     set without a destination (slow requests you ask to keep should go
      somewhere visible, not nowhere). *)
   let events =
-    match (events_path, slow_ms) with
+    match (events_path, tail_sample_ms) with
     | Some path, _ -> (
         match Obs.Events.open_file path with
         | sink -> Some sink
@@ -83,8 +82,9 @@ let run unix_path port cache_capacity max_requests metrics_dump trace_dir jobs
             end)
   in
   (* Workload introspection: --workload 0 turns the statements store
-     off; anything else bounds it.  The tail sampler arms when either
-     retention rule is requested. *)
+     off; anything else bounds it.  The tail sampler — the one retention
+     path for slow, errored and sampled requests — arms when either of
+     its rules is requested. *)
   let stats =
     if workload_capacity = 0 then None
     else Some (Obs.Stats.create ~capacity:workload_capacity ())
@@ -93,13 +93,13 @@ let run unix_path port cache_capacity max_requests metrics_dump trace_dir jobs
     if tail_sample_ms = None && tail_sample_every = 0 then None
     else
       Some
-        (Obs.Sampler.create ~capacity:tail_buffer
+        (Obs.Sampler.create
            ?threshold_s:(Option.map (fun ms -> ms /. 1e3) tail_sample_ms)
            ~sample_every:tail_sample_every ())
   in
   let t =
-    Server.Loop.create ~cache_capacity ?on_trace ?events ?slow_ms ?stats
-      ?sampler ?default_timeout_ms ~version ?metrics_fd fd
+    Server.Loop.create ~cache_capacity ?on_trace ?events ?stats ?sampler
+      ?default_timeout_ms ~version ?metrics_fd fd
   in
   (* Everything that must survive a shutdown — the Chrome trace, the
      metrics dump, the event log's final lines — goes through one
@@ -169,31 +169,6 @@ let run unix_path port cache_capacity max_requests metrics_dump trace_dir jobs
           (* A wall-clock anchor next to the final lines, so this log
              can be correlated with other processes' logs. *)
           Obs.Events.anchor ~label:"shutdown" sink;
-          (* Retained tail traces ride the event log: one tail_trace
-             record per kept request, joinable on req. *)
-          (match sampler with
-          | None -> ()
-          | Some s ->
-              List.iter
-                (fun (r : Obs.Sampler.record) ->
-                  let spans_json =
-                    "["
-                    ^ String.concat ","
-                        (List.map Obs.Export.json_string
-                           (Obs.Export.tree r.spans))
-                    ^ "]"
-                  in
-                  Obs.Events.emit sink ~req:r.rid
-                    ~fields:
-                      [
-                        ("command", Obs.Events.Str r.command);
-                        ("wall_us", Obs.Events.Float (r.wall_s *. 1e6));
-                        ( "reason",
-                          Obs.Events.Str (Obs.Sampler.reason_label r.reason) );
-                        ("spans", Obs.Events.Raw spans_json);
-                      ]
-                    "tail_trace")
-                (Obs.Sampler.retained s));
           Obs.Events.emit sink "shutdown";
           Obs.Events.close sink)
         events
@@ -270,16 +245,6 @@ let trace_dir_arg =
            complete, plus a Chrome trace_event file $(docv)/trace.json \
            (open in Perfetto) on shutdown.")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Parallelism for repair enumeration and ASP candidate checking \
-           while serving (1 = sequential; --trace-dir forces sequential \
-           execution).")
-
 let metrics_port_arg =
   Arg.(
     value
@@ -289,17 +254,6 @@ let metrics_port_arg =
           "Serve Prometheus text exposition over HTTP on \
            127.0.0.1:$(docv)/metrics (0 picks a free port).")
 
-let slow_ms_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "slow-ms" ] ~docv:"MS"
-        ~doc:
-          "Slow-query log: any request over $(docv) milliseconds emits a \
-           slow_query event carrying its span tree and counter deltas (to \
-           --events, or stderr if unset).  Forces sequential execution, \
-           like --trace-dir.")
-
 let events_arg =
   Arg.(
     value
@@ -307,7 +261,8 @@ let events_arg =
     & info [ "events" ] ~docv:"PATH"
         ~doc:
           "Append structured JSONL events (one request record per request, \
-           plus slow_query/startup/shutdown) to $(docv).")
+           one tail_trace record per retained request, plus \
+           startup/shutdown/anchor) to $(docv).")
 
 let workload_arg =
   Arg.(
@@ -319,8 +274,7 @@ let workload_arg =
            counts, latency histograms, cache traffic, plan-branch cost \
            centers and solver-counter deltas in a statements store bounded \
            to $(docv) entries (deterministic eviction).  Read back with \
-           the WORKLOAD command; 0 disables.  Forces sequential \
-           execution, like --slow-ms.")
+           the WORKLOAD command; 0 disables.")
 
 let workload_dump_arg =
   Arg.(
@@ -336,11 +290,14 @@ let tail_sample_ms_arg =
   Arg.(
     value
     & opt (some float) None
-    & info [ "tail-sample-ms" ] ~docv:"MS"
+    & info [ "tail-sample-ms"; "slow-ms" ] ~docv:"MS"
         ~doc:
-          "Tail-sampled tracing: retain the full span tree of any request \
-           over $(docv) milliseconds (errors are always retained) in a \
-           bounded ring, flushed as tail_trace events on shutdown.")
+          "Retain every request that runs for at least $(docv) \
+           milliseconds (errors are always retained): each is written at \
+           once as one tail_trace event with reason slow, carrying its \
+           span tree, counter deltas and flight-recorder trail, to \
+           --events (stderr if unset), and kept in a 64-entry ring \
+           summarized by --workload-dump.")
 
 let tail_sample_every_arg =
   Arg.(
@@ -348,17 +305,8 @@ let tail_sample_every_arg =
     & opt int 0
     & info [ "tail-sample-every" ] ~docv:"K"
         ~doc:
-          "Also retain every $(docv)-th request's span tree as a baseline \
-           of normal traffic (0 disables).")
-
-let tail_buffer_arg =
-  Arg.(
-    value
-    & opt int 64
-    & info [ "tail-buffer" ] ~docv:"N"
-        ~doc:
-          "Capacity of the tail-sampling ring buffer; a new retention \
-           overwrites the oldest.")
+          "Also retain every $(docv)-th request as a baseline of normal \
+           traffic (tail_trace reason sampled; 0 disables).")
 
 let default_timeout_arg =
   Arg.(
@@ -380,9 +328,8 @@ let main =
           request metrics.")
     Term.(
       const run $ unix_arg $ port_arg $ cache_arg $ max_requests_arg
-      $ metrics_dump_arg $ trace_dir_arg $ jobs_arg $ metrics_port_arg
-      $ slow_ms_arg $ events_arg $ workload_arg $ workload_dump_arg
-      $ tail_sample_ms_arg $ tail_sample_every_arg $ tail_buffer_arg
-      $ default_timeout_arg)
+      $ metrics_dump_arg $ trace_dir_arg $ metrics_port_arg $ events_arg
+      $ workload_arg $ workload_dump_arg $ tail_sample_ms_arg
+      $ tail_sample_every_arg $ default_timeout_arg)
 
 let () = exit (Cmd.eval main)

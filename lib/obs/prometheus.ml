@@ -93,33 +93,25 @@ let family buf name kind samples =
       Buffer.add_char buf '\n')
     samples
 
-let histogram_samples name h =
+let histogram_samples ?(labels = []) name h =
   let bounds = Registry.hist_bounds h in
   let counts = Registry.hist_raw_buckets h in
   let cum = ref 0 in
+  let bucket le v =
+    sample ~labels:(labels @ [ ("le", le) ]) (name ^ "_bucket") v
+  in
   let buckets =
-    List.concat
-      [
-        List.mapi
-          (fun i bound ->
-            cum := !cum + counts.(i);
-            sample
-              ~labels:[ ("le", number bound) ]
-              (name ^ "_bucket")
-              (string_of_int !cum))
-          (Array.to_list bounds);
-        [
-          sample
-            ~labels:[ ("le", "+Inf") ]
-            (name ^ "_bucket")
-            (string_of_int (Registry.hist_count h));
-        ];
-      ]
+    List.mapi
+      (fun i bound ->
+        cum := !cum + counts.(i);
+        bucket (number bound) (string_of_int !cum))
+      (Array.to_list bounds)
   in
   buckets
   @ [
-      sample (name ^ "_sum") (number (Registry.hist_sum h));
-      sample (name ^ "_count") (string_of_int (Registry.hist_count h));
+      bucket "+Inf" (string_of_int (Registry.hist_count h));
+      sample ~labels (name ^ "_sum") (number (Registry.hist_sum h));
+      sample ~labels (name ^ "_count") (string_of_int (Registry.hist_count h));
     ]
 
 let render ?(namespace = "cqa_") registry =

@@ -41,6 +41,14 @@ val sample : ?labels:(string * string) list -> string -> string -> string
     values quoted and escaped), and [value] — passed through verbatim
     so the caller controls integer vs float formatting. *)
 
+val histogram_samples :
+  ?labels:(string * string) list -> string -> Registry.histogram -> string list
+(** One histogram's samples under [name]: the cumulative
+    [name_bucket{...,le="bound"}] series (a value equal to a bound
+    counts in that bound's bucket), [le="+Inf"] equal to the count, then
+    [name_sum] and [name_count].  [labels] go on every sample, before
+    [le].  The name is mangled but not namespaced. *)
+
 val render : ?namespace:string -> Registry.t -> string
 (** The whole registry as one exposition document (trailing newline
     included), families sorted by name for stable diffs.  [namespace]

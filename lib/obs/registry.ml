@@ -16,8 +16,8 @@ type t = {
   gauges : (string, float ref) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
   (* Name-sorted counter cells, rebuilt lazily when a counter is
-     created: per-request snapshots (the workload store, the slow-query
-     log) deref this array instead of folding and sorting the table. *)
+     created: per-request snapshots (the workload store, the tail
+     sampler) deref this array instead of folding and sorting the table. *)
   mutable cells : (string * int ref) array;
   mutable cells_stale : bool;
 }
@@ -155,25 +155,23 @@ let gauges_list t =
    since PR 1. *)
 let decade_bounds = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0 |]
 
-let histogram ?(bounds = decade_bounds) t name =
+let make_histogram ?(bounds = decade_bounds) () =
+  { bounds; buckets = Array.make (Array.length bounds + 1) 0; hcount = 0; hsum = 0.0 }
+
+let histogram ?bounds t name =
   with_lock (fun () ->
       match Hashtbl.find_opt t.histograms name with
       | Some h -> h
       | None ->
-          let h =
-            {
-              bounds;
-              buckets = Array.make (Array.length bounds + 1) 0;
-              hcount = 0;
-              hsum = 0.0;
-            }
-          in
+          let h = make_histogram ?bounds () in
           Hashtbl.replace t.histograms name h;
           h)
 
+(* Prometheus [le] semantics: a value exactly on a bound counts in that
+   bound's bucket. *)
 let observe h x =
   let n = Array.length h.bounds in
-  let rec bucket i = if i >= n || x < h.bounds.(i) then i else bucket (i + 1) in
+  let rec bucket i = if i >= n || x <= h.bounds.(i) then i else bucket (i + 1) in
   let b = bucket 0 in
   h.buckets.(b) <- h.buckets.(b) + 1;
   h.hcount <- h.hcount + 1;
@@ -191,8 +189,8 @@ let label_of_seconds s =
   else Printf.sprintf "%.0fs" s
 
 let bucket_label h i =
-  if i < Array.length h.bounds then "lt_" ^ label_of_seconds h.bounds.(i)
-  else "ge_" ^ label_of_seconds h.bounds.(Array.length h.bounds - 1)
+  if i < Array.length h.bounds then "le_" ^ label_of_seconds h.bounds.(i)
+  else "gt_" ^ label_of_seconds h.bounds.(Array.length h.bounds - 1)
 
 let hist_buckets h =
   Array.to_list (Array.mapi (fun i c -> (bucket_label h i, c)) h.buckets)

@@ -1,4 +1,4 @@
-(* Tail sampler: bounded ring of retained span trees.  Pure — the wall
+(* Tail sampler: bounded ring of retained requests.  Pure — the wall
    time of each request is an argument, never read from a clock. *)
 
 type reason = Error | Slow | Sampled
@@ -14,6 +14,8 @@ type record = {
   wall_s : float;
   reason : reason;
   spans : Trace.span list;
+  counters : (string * int) list;
+  progress : string list;
 }
 
 type t = {
@@ -40,7 +42,8 @@ let create ?(capacity = 64) ?threshold_s ?(sample_every = 0) () =
     overwritten = 0;
   }
 
-let offer t ~rid ~command ~wall_s ~ok spans =
+let offer t ~rid ~command ~wall_s ~ok ?(counters = lazy [])
+    ?(progress = lazy []) spans =
   t.seen <- t.seen + 1;
   let reason =
     if not ok then Some Error
@@ -51,14 +54,54 @@ let offer t ~rid ~command ~wall_s ~ok spans =
           if t.sample_every > 0 && t.seen mod t.sample_every = 0 then Some Sampled
           else None
   in
-  (match reason with
-  | None -> ()
+  match reason with
+  | None -> None
   | Some reason ->
+      (* Only a retained request pays for its counter deltas and its
+         flight-recorder lines. *)
+      let r =
+        {
+          rid;
+          command;
+          wall_s;
+          reason;
+          spans;
+          counters = Lazy.force counters;
+          progress = Lazy.force progress;
+        }
+      in
       if t.ring.(t.next) <> None then t.overwritten <- t.overwritten + 1;
-      t.ring.(t.next) <- Some { rid; command; wall_s; reason; spans };
+      t.ring.(t.next) <- Some r;
       t.next <- (t.next + 1) mod t.cap;
-      t.kept <- t.kept + 1);
-  reason
+      t.kept <- t.kept + 1;
+      Some r
+
+let emit sink r =
+  let json_list xs =
+    "[" ^ String.concat "," (List.map Export.json_string xs) ^ "]"
+  in
+  let counters =
+    "{"
+    ^ String.concat ","
+        (List.map
+           (fun (n, v) -> Printf.sprintf "%s:%d" (Export.json_string n) v)
+           r.counters)
+    ^ "}"
+  in
+  Events.emit sink ~req:r.rid
+    ~fields:
+      ([
+         ("command", Events.Str r.command);
+         ("wall_us", Events.Float (r.wall_s *. 1e6));
+         ("reason", Events.Str (reason_label r.reason));
+         ("spans", Events.Raw (json_list (Export.tree r.spans)));
+         ("counters", Events.Raw counters);
+       ]
+      @
+      match r.progress with
+      | [] -> []
+      | lines -> [ ("progress", Events.Raw (json_list lines)) ])
+    "tail_trace"
 
 let retained t =
   let out = ref [] in

@@ -2,52 +2,9 @@
    (fingerprint, plan-branch) aggregates with deterministic eviction,
    plus eviction-proof per-branch and per-phase cost centers. *)
 
-(* Latency decades, 1 µs .. 10 s; the final array slot is the overflow
-   bucket.  Matches the Registry histogram default so operators read the
-   same shape everywhere. *)
-let bounds = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0 |]
-
-let n_buckets = Array.length bounds + 1
-
-let bucket_of v =
-  let rec go i = if i >= Array.length bounds || v <= bounds.(i) then i else go (i + 1) in
-  go 0
-
-(* A small standalone histogram (count, sum, decade buckets).  Entries
-   embed one rather than using Registry histograms because store entries
-   are evictable and the registry has no removal. *)
-type hist = { mutable h_count : int; mutable h_sum : float; h_buckets : int array }
-
-let hist_make () = { h_count = 0; h_sum = 0.0; h_buckets = Array.make n_buckets 0 }
-
-let hist_observe h v =
-  h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v;
-  let b = bucket_of v in
-  h.h_buckets.(b) <- h.h_buckets.(b) + 1
-
-let hist_quantile h q =
-  if h.h_count = 0 then 0.0
-  else begin
-    let target = q *. float_of_int h.h_count in
-    let rec go i acc =
-      if i >= n_buckets then bounds.(Array.length bounds - 1)
-      else begin
-        let acc' = acc + h.h_buckets.(i) in
-        if float_of_int acc' >= target && h.h_buckets.(i) > 0 then
-          if i >= Array.length bounds then bounds.(Array.length bounds - 1)
-          else begin
-            let lo = if i = 0 then 0.0 else bounds.(i - 1) in
-            let hi = bounds.(i) in
-            lo
-            +. (hi -. lo)
-               *. ((target -. float_of_int acc) /. float_of_int h.h_buckets.(i))
-          end
-        else go (i + 1) acc'
-      end
-    in
-    go 0 0
-  end
+(* Latency histograms are Registry histograms made outside any registry
+   ({!Registry.make_histogram}): store entries are evictable, and the
+   registry has no removal. *)
 
 type cache_outcome = Hit | Miss | Uncached
 
@@ -63,14 +20,14 @@ type entry = {
   mutable rows : int;
   mutable phase_s : (string * float) list;
   mutable counters : (string * int) list;
-  buckets : int array;
+  latency : Registry.histogram;
 }
 
 (* Eviction-proof per-branch cost center. *)
 type center = {
   mutable c_calls : int;
   mutable c_errors : int;
-  c_hist : hist;
+  c_hist : Registry.histogram;
   mutable c_phase_s : (string * float) list;
 }
 
@@ -78,7 +35,7 @@ type t = {
   capacity : int;
   table : (string * string, entry) Hashtbl.t;
   branches : (string, center) Hashtbl.t;
-  phase_hist : (string, hist) Hashtbl.t;
+  phase_hist : (string, Registry.histogram) Hashtbl.t;
   mutable recorded : int;
   mutable evicted : int;
   mutable total_wall_s : float;
@@ -210,7 +167,14 @@ let center_of t branch =
   match Hashtbl.find_opt t.branches branch with
   | Some c -> c
   | None ->
-      let c = { c_calls = 0; c_errors = 0; c_hist = hist_make (); c_phase_s = [] } in
+      let c =
+        {
+          c_calls = 0;
+          c_errors = 0;
+          c_hist = Registry.make_histogram ();
+          c_phase_s = [];
+        }
+      in
       Hashtbl.replace t.branches branch c;
       c
 
@@ -218,7 +182,7 @@ let phase_hist_of t phase =
   match Hashtbl.find_opt t.phase_hist phase with
   | Some h -> h
   | None ->
-      let h = hist_make () in
+      let h = Registry.make_histogram () in
       Hashtbl.replace t.phase_hist phase h;
       h
 
@@ -268,7 +232,7 @@ let entry_of t ~fingerprint ~branch =
           rows = 0;
           phase_s = [];
           counters = [];
-          buckets = Array.make n_buckets 0;
+          latency = Registry.make_histogram ();
         }
       in
       Hashtbl.replace t.table key e;
@@ -288,17 +252,16 @@ let record t ~fingerprint ~branch ~wall_s ?(rows = 0) ?(cache = Uncached)
   | Miss -> e.cache_misses <- e.cache_misses + 1
   | Uncached -> ());
   e.rows <- e.rows + rows;
-  let b = bucket_of wall_s in
-  e.buckets.(b) <- e.buckets.(b) + 1;
+  Registry.observe e.latency wall_s;
   if phases <> [] then e.phase_s <- merge_float e.phase_s phases;
   if counters <> [] then e.counters <- merge_int e.counters counters;
   let c = center_of t branch in
   c.c_calls <- c.c_calls + 1;
   if error then c.c_errors <- c.c_errors + 1;
-  hist_observe c.c_hist wall_s;
+  Registry.observe c.c_hist wall_s;
   if phases <> [] then begin
     c.c_phase_s <- merge_float c.c_phase_s phases;
-    List.iter (fun (p, s) -> hist_observe (phase_hist_of t p) s) phases
+    List.iter (fun (p, s) -> Registry.observe (phase_hist_of t p) s) phases
   end
 
 (* Inspection -------------------------------------------------------- *)
@@ -326,9 +289,8 @@ let rec take n = function
 
 let top t n = take n (entries t)
 
-let quantile e q =
-  let h = { h_count = e.calls; h_sum = e.wall_s; h_buckets = e.buckets } in
-  hist_quantile h q
+(* Interpolation inside a decade can overshoot the largest value seen. *)
+let quantile e q = Float.min e.max_s (Registry.quantile e.latency q)
 
 let reset t =
   Hashtbl.reset t.table;
@@ -379,16 +341,13 @@ let render_top t n =
            first :: second :: rest)
          es)
 
+let center_wall c = Registry.hist_sum c.c_hist
+
 let centers t =
   Hashtbl.fold (fun b c acc -> (b, c) :: acc) t.branches []
-  |> List.sort (fun (_, a) (_, b) ->
-         compare b.c_hist.h_sum a.c_hist.h_sum)
-  |> fun l ->
-  List.stable_sort
-    (fun (na, a) (nb, b) ->
-      let c = compare b.c_hist.h_sum a.c_hist.h_sum in
-      if c <> 0 then c else String.compare na nb)
-    l
+  |> List.sort (fun (na, a) (nb, b) ->
+         let c = compare (center_wall b) (center_wall a) in
+         if c <> 0 then c else String.compare na nb)
 
 let render_by_branch t =
   let cs = centers t in
@@ -399,14 +358,15 @@ let render_by_branch t =
       (List.map
          (fun (name, c) ->
            let mean =
-             if c.c_calls = 0 then 0.0 else c.c_hist.h_sum /. float_of_int c.c_calls
+             if c.c_calls = 0 then 0.0
+             else center_wall c /. float_of_int c.c_calls
            in
-           let share = if total > 0.0 then c.c_hist.h_sum /. total else 0.0 in
+           let share = if total > 0.0 then center_wall c /. total else 0.0 in
            let first =
              Printf.sprintf
                "branch %s calls %d wall_ms %s share %.3f mean_ms %s p95_ms %s errors %d"
-               name c.c_calls (ms c.c_hist.h_sum) share (ms mean)
-               (ms (hist_quantile c.c_hist 0.95))
+               name c.c_calls (ms (center_wall c)) share (ms mean)
+               (ms (Registry.quantile c.c_hist 0.95))
                c.c_errors
            in
            if c.c_phase_s = [] then [ first ]
@@ -422,39 +382,14 @@ let summary_lines t =
     Printf.sprintf "workload.total_s %.6f" t.total_wall_s;
   ]
 
-let hist_lines ~family ~label_key name h =
-  let lines = ref [] in
-  let acc = ref 0 in
-  Array.iteri
-    (fun i n ->
-      acc := !acc + n;
-      let le =
-        if i < Array.length bounds then Prometheus.number bounds.(i) else "+Inf"
-      in
-      lines :=
-        Prometheus.sample
-          ~labels:[ (label_key, name); ("le", le) ]
-          (family ^ "_bucket") (string_of_int !acc)
-        :: !lines)
-    h.h_buckets;
-  let tail =
-    [
-      Prometheus.sample ~labels:[ (label_key, name) ] (family ^ "_sum")
-        (Prometheus.number h.h_sum);
-      Prometheus.sample ~labels:[ (label_key, name) ] (family ^ "_count")
-        (string_of_int h.h_count);
-    ]
-  in
-  List.rev !lines @ tail
-
 let prometheus_lines t =
   (* Prometheus.sample does not add the namespace prefix, so spell the
      cqa_ out here to match the HELP/TYPE headers. *)
   let branch_families =
     centers t
     |> List.concat_map (fun (name, c) ->
-           hist_lines ~family:"cqa_workload_branch_seconds" ~label_key:"branch"
-             name c.c_hist)
+           Prometheus.histogram_samples ~labels:[ ("branch", name) ]
+             "cqa_workload_branch_seconds" c.c_hist)
   in
   let phases =
     Hashtbl.fold (fun p h acc -> (p, h) :: acc) t.phase_hist []
@@ -463,7 +398,8 @@ let prometheus_lines t =
   let phase_families =
     List.concat_map
       (fun (p, h) ->
-        hist_lines ~family:"cqa_workload_phase_seconds" ~label_key:"phase" p h)
+        Prometheus.histogram_samples ~labels:[ ("phase", p) ]
+          "cqa_workload_phase_seconds" h)
       phases
   in
   (if branch_families = [] then []
@@ -504,7 +440,7 @@ let json_entry e =
     (json_num e.max_s) e.cache_hits e.cache_misses e.rows phases counters
 
 let json_center total (name, c) =
-  let share = if total > 0.0 then c.c_hist.h_sum /. total else 0.0 in
+  let share = if total > 0.0 then center_wall c /. total else 0.0 in
   let phases =
     String.concat ","
       (List.map
@@ -513,9 +449,10 @@ let json_center total (name, c) =
   in
   Printf.sprintf
     "{\"branch\":%s,\"calls\":%d,\"errors\":%d,\"wall_s\":%s,\"share\":%s,\"p95_s\":%s,\"phases\":{%s}}"
-    (Export.json_string name) c.c_calls c.c_errors (json_num c.c_hist.h_sum)
+    (Export.json_string name) c.c_calls c.c_errors
+    (json_num (center_wall c))
     (json_num share)
-    (json_num (hist_quantile c.c_hist 0.95))
+    (json_num (Registry.quantile c.c_hist 0.95))
     phases
 
 let to_json t =

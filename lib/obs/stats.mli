@@ -78,7 +78,7 @@ type entry = {
   mutable rows : int;  (** total rows returned *)
   mutable phase_s : (string * float) list;  (** sorted by phase *)
   mutable counters : (string * int) list;  (** sorted by counter name *)
-  buckets : int array;  (** latency decades 1 µs .. 10 s + overflow *)
+  latency : Registry.histogram;  (** latency decades 1 µs .. 10 s + overflow *)
 }
 
 val length : t -> int
@@ -104,7 +104,8 @@ val top : t -> int -> entry list
 
 val quantile : entry -> float -> float
 (** Estimated latency q-quantile in seconds from the decade histogram
-    (interpolated; the overflow bucket reports its lower bound). *)
+    (interpolated; the overflow bucket reports its lower bound), never
+    above the entry's [max_s]. *)
 
 val reset : t -> unit
 (** Empty the store and both cost-center tables; counters restart. *)

@@ -59,7 +59,6 @@ let cond = Condition.create ()
 let queue : (unit -> unit) Queue.t = Queue.create ()
 let workers : unit Domain.t list ref = ref []
 let stopping = ref false
-let busy = ref 0 (* workers currently inside a task; guarded by [lock] *)
 
 let worker_loop () =
   let rec next () =
@@ -74,36 +73,14 @@ let worker_loop () =
             wait ()
     in
     let step = wait () in
-    (match step with Some _ -> incr busy | None -> ());
     Mutex.unlock lock;
     match step with
     | None -> ()
     | Some t ->
         t ();
-        Mutex.lock lock;
-        decr busy;
-        Mutex.unlock lock;
         next ()
   in
   next ()
-
-let locked f =
-  Mutex.lock lock;
-  let v = f () in
-  Mutex.unlock lock;
-  v
-
-let pool_size () = locked (fun () -> List.length !workers)
-let queue_depth () = locked (fun () -> Queue.length queue)
-let busy_workers () = locked (fun () -> !busy)
-
-let sample_gauges registry =
-  let g name v = Obs.Registry.set_gauge registry ("par." ^ name) v in
-  locked (fun () ->
-      g "pool_size" (float_of_int (List.length !workers));
-      g "queue_depth" (float_of_int (Queue.length queue));
-      g "busy_workers" (float_of_int !busy));
-  g "default_jobs" (float_of_int !default)
 
 (* Must be called with [lock] held. *)
 let ensure_workers n =

@@ -6,7 +6,7 @@
     use, since [Domain.spawn] costs ~1 ms — far more than a typical chunk).
     The degree of parallelism comes from [?jobs], falling back to the
     process-wide default set by {!set_default_jobs} (the [--jobs] flag of
-    the executables).
+    [cqa_cli]).
 
     Work runs sequentially when jobs ≤ 1, when the list is shorter than
     {!parallel_cutoff} (per-task pool hand-off overhead dwarfs tiny
@@ -38,23 +38,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     completed. *)
 
 val filter_map : ?jobs:int -> ('a -> 'b option) -> 'a list -> 'b list
-
-(** {1 Pool introspection}
-
-    Occupancy of the persistent worker pool, for the serving layer's
-    runtime gauges.  All three take the pool lock, so they are exact
-    (not racy snapshots) but not for hot loops. *)
-
-val pool_size : unit -> int
-(** Worker domains spawned so far (the pool only grows). *)
-
-val queue_depth : unit -> int
-(** Tasks waiting in the shared queue right now. *)
-
-val busy_workers : unit -> int
-(** Worker domains currently running a task (excludes the calling
-    domain's own chunk). *)
-
-val sample_gauges : Obs.Registry.t -> unit
-(** Write [par.pool_size], [par.queue_depth], [par.busy_workers] and
-    [par.default_jobs] gauges into [registry]. *)

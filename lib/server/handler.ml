@@ -8,7 +8,6 @@ type t = {
   max_body_lines : int;
   on_trace : (Obs.Trace.span list -> unit) option;
   events : Obs.Events.sink option;
-  slow_s : float option; (* slow-query threshold, seconds *)
   clock : unit -> float;
   next_rid : int ref; (* request ids, threaded through events and spans *)
   stats : Obs.Stats.t option; (* fingerprint workload store *)
@@ -41,7 +40,7 @@ type t = {
 }
 
 let create ?(cache_capacity = 512) ?(max_body_lines = 10_000) ?on_trace ?events
-    ?slow_ms ?stats ?sampler ?default_timeout_ms ?(progress = false)
+    ?stats ?sampler ?default_timeout_ms ?(progress = false)
     ?(version = "dev") ?(clock = Unix.gettimeofday) () =
   let metrics = Metrics.create () in
   (* Route the solver counters (sat.dpll.decisions, cavsat.sat_calls,
@@ -61,7 +60,6 @@ let create ?(cache_capacity = 512) ?(max_body_lines = 10_000) ?on_trace ?events
     max_body_lines;
     on_trace;
     events;
-    slow_s = Option.map (fun ms -> ms /. 1e3) slow_ms;
     clock;
     next_rid = ref 0;
     stats;
@@ -81,14 +79,12 @@ let cache_length t = Lru.length t.cache
 let stats t = t.stats
 let sampler t = t.sampler
 
-(* Refresh the runtime gauges: GC pressure, domain-pool occupancy, and
-   the serving layer's own residency numbers.  Called by the loop's
-   gauge ticker and before every STATS/METRICS render, so a scrape never
-   sees stale values. *)
+(* Refresh the runtime gauges: GC pressure and the serving layer's own
+   residency numbers.  Called by the loop's gauge ticker and before every
+   STATS/METRICS render, so a scrape never sees stale values. *)
 let sample_gauges t =
   let registry = Metrics.registry t.metrics in
   Obs.Runtime.sample_gc registry;
-  Par.sample_gauges registry;
   let g name v = Obs.Registry.set_gauge registry name (float_of_int v) in
   g "sessions.count" (Session.count t.sessions);
   g "sessions.resident_facts" (Session.resident_facts t.sessions);
@@ -643,50 +639,15 @@ let emit_request_event t ~rid ~command ~response ~latency =
       in
       emit sink ~req:rid ~fields "request"
 
-(* The slow-query record: everything EXPLAIN would have shown, captured
-   after the fact — the span tree the request actually executed and the
-   solver-counter deltas it caused. *)
-let emit_slow_event t ~rid ~command ~latency ~spans ~deltas ~progress =
-  match t.events with
-  | None -> ()
-  | Some sink ->
-      let open Obs.Events in
-      let json_list xs =
-        "[" ^ String.concat "," (List.map Obs.Export.json_string xs) ^ "]"
-      in
-      let counters =
-        "{"
-        ^ String.concat ","
-            (List.map
-               (fun (n, v) ->
-                 Printf.sprintf "%s:%d" (Obs.Export.json_string n) v)
-               deltas)
-        ^ "}"
-      in
-      let fields =
-        [
-          ("command", Str (P.command_label command));
-          ("wall_us", Float (latency *. 1e6));
-          ("spans", Raw (json_list (Obs.Export.tree spans)));
-          ("counters", Raw counters);
-        ]
-        @ (match progress with
-          | [] -> []
-          | lines -> [ ("progress", Raw (json_list lines)) ])
-        @ match sid_of command with Some sid -> [ ("sid", Str sid) ] | None -> []
-      in
-      emit sink ~req:rid ~fields "slow_query"
-
 let dispatch t ?payload command =
   incr t.next_rid;
   let rid = !(t.next_rid) in
   let registry = Metrics.registry t.metrics in
-  (* The slow-query log, the workload store (phase attribution, counter
-     deltas) and the tail sampler all want the request's span tree, so
-     any of them arms the private collection. *)
+  (* The workload store (phase attribution, counter deltas) and the
+     tail sampler both want the request's span tree, so either arms the
+     private collection. *)
   let collecting =
-    (t.slow_s <> None || t.stats <> None || t.sampler <> None)
-    && traceable command
+    (t.stats <> None || t.sampler <> None) && traceable command
   in
   let before =
     if collecting then begin
@@ -770,15 +731,6 @@ let dispatch t ?payload command =
       | Some b -> Obs.Registry.counter_delta_since b registry
       | None -> [])
   in
-  (match (t.slow_s, collected) with
-  | Some thr, Some spans when latency > thr ->
-      emit_slow_event t ~rid ~command ~latency ~spans
-        ~deltas:(Lazy.force deltas)
-        ~progress:
-          (match ctx with
-          | Some c -> Obs.Progress.history_lines c
-          | None -> [])
-  | _ -> ());
   (* Fold the request into the workload store — every command, so the
      store attributes (approximately) all request wall time. *)
   (match t.stats with
@@ -796,21 +748,30 @@ let dispatch t ?payload command =
         ~cache:t.last_cache
         ~error:(response.P.status = `Err)
         ~phases ~counters ());
-  (* Offer the span tree to the tail sampler; discarded unless the
-     request erred, ran over the threshold, or fell on the sampling
-     grid. *)
+  (* Offer the request to the tail sampler; discarded unless it erred,
+     ran over the threshold, or fell on the sampling grid.  A retained
+     request is written to the event log at once, so a crash loses
+     nothing already retained. *)
   (match t.sampler with
   | None -> ()
-  | Some sampler ->
-      ignore
-        (Obs.Sampler.offer sampler ~rid ~command:(P.command_label command)
-           ~wall_s:latency
-           ~ok:(response.P.status = `Ok)
-           (Option.value ~default:[] collected)));
+  | Some sampler -> (
+      let progress =
+        lazy
+          (match ctx with Some c -> Obs.Progress.history_lines c | None -> [])
+      in
+      match
+        Obs.Sampler.offer sampler ~rid ~command:(P.command_label command)
+          ~wall_s:latency
+          ~ok:(response.P.status = `Ok)
+          ~counters:deltas ~progress
+          (Option.value ~default:[] collected)
+      with
+      | Some r -> Option.iter (fun sink -> Obs.Sampler.emit sink r) t.events
+      | None -> ()));
   (* When server-wide tracing is on, hand the spans this request left to
-     the owner (cqa_server streams them to disk).  With the slow-query
-     log armed they were captured privately; otherwise they sit in the
-     global sink. *)
+     the owner (cqa_server streams them to disk).  With the private
+     collection armed they were captured there; otherwise they sit in
+     the global sink. *)
   (match t.on_trace with
   | Some f when Obs.Trace.is_enabled () -> (
       match collected with

@@ -20,7 +20,6 @@ val create :
   ?max_body_lines:int ->
   ?on_trace:(Obs.Trace.span list -> unit) ->
   ?events:Obs.Events.sink ->
-  ?slow_ms:float ->
   ?stats:Obs.Stats.t ->
   ?sampler:Obs.Sampler.t ->
   ?default_timeout_ms:float ->
@@ -36,10 +35,6 @@ val create :
 
     [events] is the structured JSONL event log: every request emits a
     ["request"] record carrying its id, command, status and latency.
-    [slow_ms] arms the slow-query log — session-touching commands run
-    under a private span collection (which, like [--trace-dir], forces
-    sequential execution), and any request over the threshold emits a
-    ["slow_query"] record with the span tree and counter deltas.
     [clock] (default [Unix.gettimeofday]) is what latencies are measured
     with; tests stub it.
 
@@ -50,20 +45,27 @@ val create :
     cache outcome, rows, per-phase time from the span tree, and solver
     counter deltas.  Read back with the WORKLOAD command, the
     [-- workload] STATS section, and the [cqa_workload_*] metrics
-    families.  [sampler] arms tail-sampled tracing: each request's span
-    tree is offered to the {!Obs.Sampler} ring and retained only for
-    error, over-threshold, or reservoir-sampled requests.  Either one
-    (like [slow_ms]) runs session-touching commands under the private
-    span collection.  [version] labels the [cqa_build_info] gauge.
+    families.  [sampler] is the one retention path for slow and errored
+    requests: every finished request is offered to the {!Obs.Sampler}
+    ring and retained only when it erred, ran for at least the
+    sampler's threshold, or fell on its sampling grid.  A retained
+    request is written to [events] at once as one ["tail_trace"] record
+    — the same [req] as its ["request"] record, its [reason]
+    ([error]/[slow]/[sampled]), span tree, counter deltas and, when
+    [progress] is armed, its flight-recorder trail; the deltas and the
+    trail are built only for retained requests.  Either [stats] or
+    [sampler] runs session-touching commands under a private span
+    collection (which, like [--trace-dir], makes {!Par.map} run
+    sequentially).  [version] labels the [cqa_build_info] gauge.
 
     [progress] (default [false]) arms an {!Obs.Progress} context around
     every session-touching request: solver heartbeats feed the INFLIGHT
     command, the [inflight.*] gauges, a per-request flight recorder
-    (dumped by EXPLAIN and the slow-query log), and cooperative
-    deadlines — a request whose [timeout=ms] option (or, failing that,
-    [default_timeout_ms]) expires is cancelled at the next probe and
-    answered with a structured [ERR deadline ...] carrying the final
-    snapshot.  The loop and [cqa_server] arm it by default.
+    (dumped by EXPLAIN and by retained ["tail_trace"] records), and
+    cooperative deadlines — a request whose [timeout=ms] option (or,
+    failing that, [default_timeout_ms]) expires is cancelled at the next
+    probe and answered with a structured [ERR deadline ...] carrying the
+    final snapshot.  The loop and [cqa_server] arm it by default.
 
     Creation installs the handler's metrics registry as the
     process-current {!Obs.Registry}, so solver counters land in the same
@@ -77,13 +79,12 @@ val stats : t -> Obs.Stats.t option
 (** The workload store, when armed — the server dumps it on shutdown. *)
 
 val sampler : t -> Obs.Sampler.t option
-(** The tail-sampling ring, when armed — flushed alongside the event
-    log on shutdown. *)
+(** The tail-sampling ring, when armed — summarized in the workload
+    dump on shutdown. *)
 
 val sample_gauges : t -> unit
 (** Refresh the runtime gauges in the metrics registry: [gc.*]
-    ({!Obs.Runtime.sample_gc}), [par.*] ({!Par.sample_gauges}),
-    [sessions.count]/[sessions.resident_facts]/[sessions.tracked_keys],
+    ({!Obs.Runtime.sample_gc}), [sessions.count]/[sessions.resident_facts]/[sessions.tracked_keys],
     and [cache.entries]/[cache.capacity]/[cache.evictions].  The loop
     calls this on its gauge ticker; STATS and METRICS call it before
     rendering. *)

@@ -28,8 +28,8 @@ type t = {
   mutable stopped : bool;
 }
 
-let create ?cache_capacity ?max_body_lines ?on_trace ?events ?slow_ms ?stats
-    ?sampler ?default_timeout_ms ?(progress = true) ?version ?clock ?metrics_fd
+let create ?cache_capacity ?max_body_lines ?on_trace ?events ?stats ?sampler
+    ?default_timeout_ms ?(progress = true) ?version ?clock ?metrics_fd
     listen_fd =
   Unix.set_nonblock listen_fd;
   Option.iter Unix.set_nonblock metrics_fd;
@@ -37,9 +37,8 @@ let create ?cache_capacity ?max_body_lines ?on_trace ?events ?slow_ms ?stats
     listen_fd;
     metrics_fd;
     handler =
-      Handler.create ?cache_capacity ?max_body_lines ?on_trace ?events
-        ?slow_ms ?stats ?sampler ?default_timeout_ms ~progress ?version ?clock
-        ();
+      Handler.create ?cache_capacity ?max_body_lines ?on_trace ?events ?stats
+        ?sampler ?default_timeout_ms ~progress ?version ?clock ();
     conns = [];
     hconns = [];
     stopped = false;
@@ -284,6 +283,26 @@ let run ?max_requests ?(gauge_interval = 5.0) t =
       next_sample := now +. gauge_interval
     end
   done;
+  (* Deliver the responses already produced — the last request of a
+     [max_requests] run included — waiting at most a second for slow
+     readers before closing. *)
+  let deadline = Unix.gettimeofday () +. 1.0 in
+  let rec drain () =
+    match List.filter (fun c -> c.out <> "") t.conns with
+    | [] -> ()
+    | pending ->
+        let left = deadline -. Unix.gettimeofday () in
+        if left > 0.0 then begin
+          (match Unix.select [] (List.map (fun c -> c.fd) pending) [] left with
+          | _, writable, _ ->
+              List.iter
+                (fun c -> if List.mem c.fd writable then write_conn t c)
+                pending
+          | exception Unix.Unix_error (EINTR, _, _) -> ());
+          drain ()
+        end
+  in
+  drain ();
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) t.conns;
   t.conns <- [];
   List.iter

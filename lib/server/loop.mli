@@ -15,7 +15,6 @@ val create :
   ?max_body_lines:int ->
   ?on_trace:(Obs.Trace.span list -> unit) ->
   ?events:Obs.Events.sink ->
-  ?slow_ms:float ->
   ?stats:Obs.Stats.t ->
   ?sampler:Obs.Sampler.t ->
   ?default_timeout_ms:float ->
@@ -47,10 +46,12 @@ val step : ?timeout:float -> t -> int
 
 val run : ?max_requests:int -> ?gauge_interval:float -> t -> unit
 (** [step] until {!stop} is called (e.g. from a signal handler) or the
-    handler has seen [max_requests] requests.  Every [gauge_interval]
+    handler has seen [max_requests] requests; responses already produced
+    are then delivered (waiting at most a second) before the
+    connections close.  Every [gauge_interval]
     seconds (default 5, sampled once up front) the runtime gauges are
     refreshed via {!Handler.sample_gauges}, so a scrape between requests
-    still sees fresh GC, pool and session numbers. *)
+    still sees fresh GC and session numbers. *)
 
 val stop : t -> unit
 (** Make [run] return after the current iteration; open connections are

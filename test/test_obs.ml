@@ -114,7 +114,7 @@ let test_histogram_quantiles () =
   let line = Obs.Registry.render_histogram "lat" h in
   Alcotest.(check bool) "labelled buckets" true
     (try
-       ignore (Str.search_forward (Str.regexp_string "hist=lt_1us:") line 0);
+       ignore (Str.search_forward (Str.regexp_string "hist=le_1us:") line 0);
        true
      with Not_found -> false)
 

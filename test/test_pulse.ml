@@ -1,5 +1,5 @@
 (* cqa-pulse: Prometheus exposition, the structured event log, the
-   slow-query log, and the perf-regression gate.
+   slow-request retention path, and the perf-regression gate.
 
    The property tests pin the exposition down to its grammar: whatever
    bytes reach the metric names and label values, the rendered document
@@ -182,6 +182,25 @@ let test_histogram_buckets () =
   Alcotest.(check bool) "histogram TYPE header" true
     (has_line "# TYPE cqa_latency_query histogram")
 
+(* Prometheus [le] is "less than or equal": a latency exactly on a bound
+   belongs to that bound's bucket, in the registry's request histograms
+   and in the workload store's labeled families alike. *)
+let test_latency_on_bound_in_its_le_bucket () =
+  let m = Server.Metrics.create () in
+  Server.Metrics.observe m ~command:"QUERY" ~latency:1e-3;
+  let has text line = List.mem line (String.split_on_char '\n' text) in
+  let text = Prom.render (Server.Metrics.registry m) in
+  Alcotest.(check bool) "1e-3 counts in le=0.001" true
+    (has text {|cqa_latency_query_bucket{le="0.001"} 1|});
+  Alcotest.(check bool) "and not in le=0.0001" true
+    (has text {|cqa_latency_query_bucket{le="0.0001"} 0|});
+  let stats = Obs.Stats.create () in
+  Obs.Stats.record stats ~fingerprint:"f" ~branch:"direct" ~wall_s:1e-3 ();
+  let text = String.concat "\n" (Obs.Stats.prometheus_lines stats) in
+  Alcotest.(check bool) "workload family agrees" true
+    (has text
+       {|cqa_workload_branch_seconds_bucket{branch="direct",le="0.001"} 1|})
+
 let test_sample_labels () =
   Alcotest.(check string)
     "label values are escaped"
@@ -226,10 +245,12 @@ let test_events_monotone_ts () =
   Alcotest.(check (list int)) "backwards clock clamped"
     [ 10_000; 10_000; 20_000 ] ts
 
-(* ---- the slow-query log ---------------------------------------------- *)
+(* ---- slow requests through the tail sampler ------------------------- *)
 
 (* A handler whose clock is a script: each dispatch pops two values
-   (start, end), so latency is fully controlled. *)
+   (start, end), so latency is fully controlled.  The sampler's threshold
+   is the one slow-request rule; retained requests reach the event log as
+   tail_trace records. *)
 let scripted_handler ~script ~slow_ms lines =
   let q = ref script in
   let clock () =
@@ -240,7 +261,8 @@ let scripted_handler ~script ~slow_ms lines =
     | [] -> 0.0
   in
   let sink = Obs.Events.make (fun l -> lines := l :: !lines) in
-  Server.Handler.create ~events:sink ~slow_ms ~clock ()
+  let sampler = Obs.Sampler.create ~threshold_s:(slow_ms /. 1e3) () in
+  Server.Handler.create ~events:sink ~sampler ~clock ()
 
 let load t =
   match
@@ -264,15 +286,23 @@ let test_slow_log_fires_iff_over_threshold () =
   (match Server.Handler.dispatch t (P.Check "s1") with
   | { P.status = `Ok; _ } -> ()
   | { P.head; _ } -> Alcotest.fail ("CHECK failed: " ^ head));
-  let slow = events_of_type lines "slow_query" in
+  let slow = events_of_type lines "tail_trace" in
   let requests = events_of_type lines "request" in
   Alcotest.(check int) "both requests logged" 2 (List.length requests);
   Alcotest.(check int) "exactly one slow record" 1 (List.length slow);
+  Alcotest.(check int) "no slow_query kind" 0
+    (List.length (events_of_type lines "slow_query"));
   let record = List.hd slow in
   Alcotest.(check (option string)) "slow record names LOAD"
     (Some "\"LOAD\"") (json_field record "command");
+  Alcotest.(check (option string)) "retained as slow" (Some "\"slow\"")
+    (json_field record "reason");
   Alcotest.(check bool) "slow record carries a span tree" true
-    (json_field record "spans" <> None)
+    (match json_field record "spans" with
+    | Some v -> v <> "[]"
+    | None -> false);
+  Alcotest.(check bool) "slow record carries counter deltas" true
+    (json_field record "counters" <> None)
 
 let test_fast_requests_produce_no_slow_records () =
   let lines = ref [] in
@@ -282,13 +312,13 @@ let test_fast_requests_produce_no_slow_records () =
   load t;
   ignore (Server.Handler.dispatch t (P.Check "s1"));
   Alcotest.(check int) "no slow records" 0
-    (List.length (events_of_type lines "slow_query"))
+    (List.length (events_of_type lines "tail_trace"))
 
 let test_request_ids_join_events_to_spans () =
   let lines = ref [] in
   let t = scripted_handler ~script:[ 0.0; 9.9 ] ~slow_ms:1.0 lines in
   load t;
-  let slow = List.hd (events_of_type lines "slow_query") in
+  let slow = List.hd (events_of_type lines "tail_trace") in
   let request = List.hd (events_of_type lines "request") in
   let rid = Option.get (json_field request "req") in
   Alcotest.(check (option string)) "slow record has the same request id"
@@ -394,6 +424,39 @@ let test_gate_fails_on_counter_blowup () =
   Alcotest.(check bool) "counter increase beyond 25% regresses" true
     (List.exists (fun f -> f.Gate.Compare.field = "sat.dpll.decisions") regs)
 
+let counter_findings base fresh =
+  let doc c = Printf.sprintf {|{"rows":[],"counters":{%s}}|} c in
+  List.filter
+    (fun f -> f.Gate.Compare.row = "counters")
+    (Gate.Compare.compare_docs Gate.Compare.default_opts
+       (Gate.Tiny_json.parse (doc base))
+       (Gate.Tiny_json.parse (doc fresh)))
+
+let test_gate_counter_drop_improves () =
+  match counter_findings {|"rewrite.key_applicable":400|} {|"rewrite.key_applicable":200|} with
+  | [ f ] ->
+      Alcotest.(check string) "a halved counter is an improvement" "improved"
+        (Gate.Compare.status_name f.Gate.Compare.status)
+  | fs -> Alcotest.failf "expected one counter finding, got %d" (List.length fs)
+
+let test_gate_counter_named_like_timing () =
+  (* A counter whose name ends in _s is still gated as a counter: the
+     small-count slack applies, a drop is an improvement, a rise beyond
+     tolerance a regression. *)
+  let check base fresh expected =
+    match counter_findings base fresh with
+    | [ f ] ->
+        Alcotest.(check string) "kind" "counter"
+          (Gate.Compare.kind_name f.Gate.Compare.kind);
+        Alcotest.(check string) "status" expected
+          (Gate.Compare.status_name f.Gate.Compare.status)
+    | fs ->
+        Alcotest.failf "expected one counter finding, got %d" (List.length fs)
+  in
+  check {|"cache.retries_s":400|} {|"cache.retries_s":200|} "improved";
+  check {|"cache.retries_s":4|} {|"cache.retries_s":6|} "pass";
+  check {|"cache.retries_s":400|} {|"cache.retries_s":900|} "regressed"
+
 let test_gate_tolerates_noise () =
   (* +10% latency, -10% throughput, +10% counters: all inside 25% *)
   let regs = run_gate (doc_with ~elapsed:0.055 ~rps:18000. ~decisions:950) in
@@ -428,6 +491,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_render_parses;
     Alcotest.test_case "histogram buckets are cumulative with +Inf=count"
       `Quick test_histogram_buckets;
+    Alcotest.test_case "latency on a bound lands in its le bucket" `Quick
+      test_latency_on_bound_in_its_le_bucket;
     Alcotest.test_case "sample escapes label values" `Quick test_sample_labels;
     Alcotest.test_case "event timestamps are monotone" `Quick
       test_events_monotone_ts;
@@ -448,6 +513,10 @@ let suite =
       test_gate_fails_on_2x_latency;
     Alcotest.test_case "gate: counter blowup fails" `Quick
       test_gate_fails_on_counter_blowup;
+    Alcotest.test_case "gate: counter drop is an improvement" `Quick
+      test_gate_counter_drop_improves;
+    Alcotest.test_case "gate: a counter named *_s stays a counter" `Quick
+      test_gate_counter_named_like_timing;
     Alcotest.test_case "gate: 10% noise passes" `Quick
       test_gate_tolerates_noise;
     Alcotest.test_case "gate: missing row fails" `Quick

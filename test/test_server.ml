@@ -490,6 +490,37 @@ let test_e2e_socket () =
   Unix.close fd;
   Unix.unlink path
 
+(* The request that exhausts a [max_requests] budget is still answered:
+   the loop delivers pending output before closing. *)
+let test_max_requests_answers_last_request () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "cqa-test-max-%d.sock" (Unix.getpid ()))
+  in
+  let loop = Server.Loop.create (Server.Loop.listen_unix path) in
+  let fd = connect_client path in
+  ignore (Unix.write_substring fd "STATS\n" 0 6);
+  Server.Loop.run ~max_requests:1 loop;
+  Unix.clear_nonblock fd;
+  let buf = Buffer.create 256 and bytes = Bytes.create 4096 in
+  let rec read_all () =
+    match Unix.read fd bytes 0 (Bytes.length bytes) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes buf bytes 0 n;
+        read_all ()
+    | exception Unix.Unix_error (ECONNRESET, _, _) -> ()
+  in
+  read_all ();
+  Unix.close fd;
+  Unix.unlink path;
+  let lines = String.split_on_char '\n' (Buffer.contents buf) in
+  Alcotest.(check bool) "the last request is answered" true
+    (match lines with
+    | status :: _ -> String.length status > 2 && String.sub status 0 2 = "OK"
+    | [] -> false);
+  Alcotest.(check bool) "and terminated" true (List.mem "." lines)
+
 (* ---- ANALYZE memoization across UPDATE / re-LOAD -------------------- *)
 
 let test_analyze_invalidation () =
@@ -593,6 +624,118 @@ let test_explain_always_shows_plan () =
   Alcotest.(check bool) "method=datalog ok" true (q2.P.status = `Ok);
   Alcotest.(check (list string)) "datalog certain answer" [ "1" ] q2.P.body
 
+(* ---- protocol totality --------------------------------------------- *)
+
+(* Request lines built from the protocol's own vocabulary and from the
+   bytes that broke line parsers before: key=value options with junk
+   values, digit runs wider than max_int, quotes, parentheses, control
+   bytes and non-ASCII. *)
+let gen_request_line =
+  let open QCheck2.Gen in
+  let keyword =
+    oneofl
+      [
+        "LOAD"; "QUERY"; "query"; "CHECK"; "REPAIRS"; "MEASURE"; "UPDATE";
+        "STATS"; "METRICS"; "TRACE"; "EXPLAIN"; "ANALYZE"; "WORKLOAD";
+        "INFLIGHT"; "CLOSE"; "QUIT"; "TOP"; "BY"; "RESET"; "branch"; "add";
+        "del"; "on"; "off"; "s1"; "s2"; "q"; "s"; "c";
+      ]
+  in
+  let overlong = map (fun n -> String.make n '9') (int_range 19 40) in
+  let value =
+    oneof
+      [
+        keyword;
+        overlong;
+        oneofl
+          [ ""; "auto"; "enum"; "sat"; "asp"; "0"; "-1"; "1e309"; "nan";
+            "0x10"; "5"; "\"" ];
+      ]
+  in
+  let option =
+    map2
+      (fun k v -> k ^ "=" ^ v)
+      (oneofl [ "method"; "semantics"; "timeout"; "METHOD"; "x"; "" ])
+      value
+  in
+  let junk =
+    oneofl
+      [
+        "\""; "\"a b\""; "("; ")"; ","; "T(1, 2)"; "T(\"x\", null)";
+        "T(99999999999999999999999, -)"; "\t"; "\r"; "\000"; "\027[0m";
+        "\n"; "."; "\xc3\xa9"; "\xe6\x97\xa5"; "\xff\xfe";
+      ]
+  in
+  let token =
+    frequency
+      [
+        (4, keyword);
+        (2, option);
+        (1, overlong);
+        (2, junk);
+        (1, string_size ~gen:char (int_range 0 6));
+      ]
+  in
+  let fact =
+    map2
+      (fun rel vs -> rel ^ "(" ^ String.concat ", " vs ^ ")")
+      (oneofl [ "T"; ""; "T("; "é" ])
+      (list_size (int_range 0 3)
+         (oneof [ value; map (fun d -> "-" ^ d) overlong; junk ]))
+  in
+  let words = map (String.concat " ") (list_size (int_range 0 6) token) in
+  (* Half the lines start like a real request, so the argument parsers
+     behind each verb are reached, not just the verb dispatch. *)
+  oneof
+    [
+      words;
+      map3
+        (fun verb sid rest -> String.concat " " [ verb; sid; rest ])
+        keyword (oneofl [ "s1"; "s2"; "" ]) words;
+      map2
+        (fun op f -> "UPDATE s1 " ^ op ^ " " ^ f)
+        (oneofl [ "add"; "del"; "ADD"; "x" ])
+        fact;
+    ]
+
+let prop_parse_total =
+  QCheck2.Test.make ~count:500 ~name:"Protocol.parse never raises"
+    ~print:String.escaped gen_request_line (fun line ->
+      match P.parse line with Ok _ | Error _ -> true)
+
+(* Every line gets exactly one framed answer: an OK or ERR status line,
+   then a body, then the lone "." terminator.  The handler runs with the
+   workload store and the tail sampler armed so the retention path is
+   exercised too; the session is reloaded before each line because CLOSE
+   and LOAD are in the vocabulary. *)
+let prop_handle_line_total =
+  let h =
+    lazy
+      (Server.Handler.create ~stats:(Obs.Stats.create ())
+         ~sampler:(Obs.Sampler.create ~threshold_s:0.0 ())
+         ~events:Obs.Events.null ())
+  in
+  QCheck2.Test.make ~count:300 ~name:"Handler.handle_line answers OK or ERR"
+    ~print:String.escaped gen_request_line (fun line ->
+      let h = Lazy.force h in
+      let tracing = Obs.Trace.is_enabled () in
+      ignore (Server.Handler.dispatch h ~payload:doc_lines (P.Load "s1"));
+      let r = Server.Handler.handle_line h line in
+      (* TRACE on is in the vocabulary; leave the global sink as found. *)
+      Obs.Trace.set_enabled tracing;
+      ignore (Obs.Trace.drain ());
+      match String.split_on_char '\n' (P.render r) with
+      | status :: rest ->
+          let prefixed p =
+            String.length status >= String.length p
+            && String.sub status 0 (String.length p) = p
+          in
+          (prefixed "OK" || prefixed "ERR ")
+          && (match List.rev rest with
+             | "" :: "." :: body -> not (List.mem "." body)
+             | _ -> false)
+      | [] -> false)
+
 let suite =
   [
     Alcotest.test_case "lru eviction order and capacity" `Quick
@@ -603,6 +746,8 @@ let suite =
     Alcotest.test_case "metrics counters and render" `Quick test_metrics;
     Alcotest.test_case "protocol parse ok and errors" `Quick
       test_protocol_parse;
+    QCheck_alcotest.to_alcotest prop_parse_total;
+    QCheck_alcotest.to_alcotest prop_handle_line_total;
     Alcotest.test_case "cache hit then UPDATE invalidates" `Quick
       test_handler_cache_and_invalidation;
     Alcotest.test_case "re-LOAD with redefined query misses cache" `Quick
@@ -627,6 +772,8 @@ let suite =
     Alcotest.test_case "STATS renders solver counters" `Quick
       test_stats_includes_solver_counters;
     Alcotest.test_case "end-to-end socket round-trip" `Quick test_e2e_socket;
+    Alcotest.test_case "max-requests answers the last request" `Quick
+      test_max_requests_answers_last_request;
     Alcotest.test_case "ANALYZE memo invalidates on UPDATE" `Quick
       test_analyze_invalidation;
     Alcotest.test_case "ANALYZE memo invalidates on schema re-LOAD" `Quick

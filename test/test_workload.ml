@@ -155,10 +155,10 @@ let test_sampler_retains_exactly_slow_and_errors () =
 let test_sampler_error_beats_slow () =
   let t = Obs.Sampler.create ~threshold_s:0.1 ~sample_every:1 () in
   (match Obs.Sampler.offer t ~rid:1 ~command:"Q" ~wall_s:9.9 ~ok:false [] with
-  | Some Obs.Sampler.Error -> ()
+  | Some { Obs.Sampler.reason = Error; _ } -> ()
   | _ -> Alcotest.fail "over-threshold failure must retain as Error");
   match Obs.Sampler.offer t ~rid:2 ~command:"Q" ~wall_s:0.001 ~ok:true [] with
-  | Some Obs.Sampler.Sampled -> ()
+  | Some { Obs.Sampler.reason = Sampled; _ } -> ()
   | _ -> Alcotest.fail "1-in-1 sampling must retain fast requests"
 
 let test_sampler_reservoir_grid () =
@@ -179,6 +179,34 @@ let test_sampler_ring_bound () =
   Obs.Sampler.clear t;
   Alcotest.(check (list int)) "clear empties the ring" [] (retained_rids t);
   Alcotest.(check int) "clear restarts seen" 0 (Obs.Sampler.seen t)
+
+let test_sampler_detail_only_on_retention () =
+  let t = Obs.Sampler.create ~threshold_s:0.1 () in
+  let forced = ref 0 in
+  let counters =
+    lazy
+      (incr forced;
+       [ ("sat.dpll.decisions", 3) ])
+  in
+  let progress =
+    lazy
+      (incr forced;
+       [ "t+0.0ms phase=sat work=0 bound=-" ])
+  in
+  let offer rid wall_s =
+    Obs.Sampler.offer t ~rid ~command:"QUERY" ~wall_s ~ok:true ~counters
+      ~progress []
+  in
+  Alcotest.(check bool) "fast request discarded" true (offer 1 0.01 = None);
+  Alcotest.(check int) "a discarded request builds no detail" 0 !forced;
+  match offer 2 0.5 with
+  | Some r ->
+      Alcotest.(check int) "a retained one builds both" 2 !forced;
+      Alcotest.(check (list (pair string int))) "record carries the deltas"
+        [ ("sat.dpll.decisions", 3) ] r.Obs.Sampler.counters;
+      Alcotest.(check int) "and the flight-recorder trail" 1
+        (List.length r.Obs.Sampler.progress)
+  | None -> Alcotest.fail "slow request must be retained"
 
 (* ---- line-aware clamping --------------------------------------------- *)
 
@@ -272,6 +300,17 @@ let test_stats_aggregation_and_reset () =
 
 let span ~id ~parent ~name ~t0 ~t1 =
   { Obs.Trace.id; parent; name; attrs = []; t0; t1 }
+
+(* A lone 0.3 ms request sits in the 0.1..1 ms decade; interpolating
+   inside the decade must not report a p95 above the one value seen. *)
+let test_stats_quantile_within_max () =
+  let st = Obs.Stats.create () in
+  Obs.Stats.record st ~fingerprint:"f" ~branch:"direct" ~wall_s:3e-4 ();
+  match Obs.Stats.entries st with
+  | [ e ] ->
+      Alcotest.(check bool) "p95 <= max" true
+        (Obs.Stats.quantile e 0.95 <= e.Obs.Stats.max_s)
+  | _ -> Alcotest.fail "expected one entry"
 
 let test_phase_attribution_partitions () =
   (* request(1.0s) > rewrite.key(0.4) > sat.dpll(0.1); the partition:
@@ -568,6 +607,10 @@ let suite =
       test_sampler_reservoir_grid;
     Alcotest.test_case "sampler: ring bound and clear" `Quick
       test_sampler_ring_bound;
+    Alcotest.test_case "sampler: detail is built only on retention" `Quick
+      test_sampler_detail_only_on_retention;
+    Alcotest.test_case "stats: quantiles never exceed the max" `Quick
+      test_stats_quantile_within_max;
     Alcotest.test_case "clamp is line-aware" `Quick
       test_clamp_splits_embedded_newlines;
     Alcotest.test_case "stats: deterministic eviction" `Quick
