@@ -15,15 +15,18 @@ let load path =
 let engine (doc : Cqa.Parse.document) =
   Cqa.Engine.create ~schema:doc.schema ~ics:doc.ics doc.instance
 
+(* One flush for the whole answer set: [print_endline] would make one
+   write per row. *)
 let pp_rows rows =
   List.iter
     (fun row ->
       (* A Boolean query's positive answer is the empty tuple. *)
-      if row = [] then print_endline "true"
-      else
-        print_endline
-          (String.concat ", " (List.map Relational.Value.to_string row)))
-    rows
+      print_string
+        (if row = [] then "true"
+         else String.concat ", " (List.map Relational.Value.to_string row));
+      print_char '\n')
+    rows;
+  flush stdout
 
 let query_of doc name =
   match Cqa.Parse.find_query doc name with

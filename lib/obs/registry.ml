@@ -9,6 +9,7 @@ type histogram = {
   buckets : int array; (* length bounds + 1: the last is overflow *)
   mutable hcount : int;
   mutable hsum : float;
+  mutable hmax : float;
 }
 
 type t = {
@@ -156,7 +157,8 @@ let gauges_list t =
 let decade_bounds = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0 |]
 
 let make_histogram ?(bounds = decade_bounds) () =
-  { bounds; buckets = Array.make (Array.length bounds + 1) 0; hcount = 0; hsum = 0.0 }
+  let buckets = Array.make (Array.length bounds + 1) 0 in
+  { bounds; buckets; hcount = 0; hsum = 0.0; hmax = 0.0 }
 
 let histogram ?bounds t name =
   with_lock (fun () ->
@@ -175,10 +177,12 @@ let observe h x =
   let b = bucket 0 in
   h.buckets.(b) <- h.buckets.(b) + 1;
   h.hcount <- h.hcount + 1;
-  h.hsum <- h.hsum +. x
+  h.hsum <- h.hsum +. x;
+  if x > h.hmax then h.hmax <- x
 
 let hist_count h = h.hcount
 let hist_sum h = h.hsum
+let hist_max h = h.hmax
 let hist_bounds h = Array.copy h.bounds
 let hist_raw_buckets h = Array.copy h.buckets
 let hist_mean h = if h.hcount = 0 then 0.0 else h.hsum /. float_of_int h.hcount
@@ -197,7 +201,8 @@ let hist_buckets h =
 
 (* Quantile estimate: find the bucket where the cumulative count crosses
    q * total and interpolate linearly inside it.  The overflow bucket has
-   no upper bound, so it reports its lower bound. *)
+   no upper bound, so it reports its lower bound.  Interpolation can
+   overshoot the largest value seen, so it is the cap. *)
 let quantile h q =
   if h.hcount = 0 then 0.0
   else begin
@@ -221,7 +226,7 @@ let quantile h q =
          acc := !acc + c
        done
      with Exit -> ());
-    !result
+    Float.min h.hmax !result
   end
 
 let histograms_list t =

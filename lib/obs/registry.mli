@@ -86,6 +86,9 @@ val hist_mean : histogram -> float
 val hist_sum : histogram -> float
 (** Sum of every observed value, in seconds. *)
 
+val hist_max : histogram -> float
+(** The largest observed value, in seconds; 0 on an empty histogram. *)
+
 val hist_bounds : histogram -> float array
 (** A copy of the upper bounds (seconds, strictly increasing); the
     implicit overflow bucket is not included. *)
@@ -100,7 +103,7 @@ val hist_buckets : histogram -> (string * int) list
 val quantile : histogram -> float -> float
 (** Estimated q-quantile in seconds: linear interpolation inside the
     covering bucket; the unbounded overflow bucket reports its lower
-    bound.  0 on an empty histogram. *)
+    bound.  Never above {!hist_max}; 0 on an empty histogram. *)
 
 val histograms_list : t -> (string * histogram) list
 

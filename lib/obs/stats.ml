@@ -14,7 +14,6 @@ type entry = {
   mutable calls : int;
   mutable errors : int;
   mutable wall_s : float;
-  mutable max_s : float;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable rows : int;
@@ -226,7 +225,6 @@ let entry_of t ~fingerprint ~branch =
           calls = 0;
           errors = 0;
           wall_s = 0.0;
-          max_s = 0.0;
           cache_hits = 0;
           cache_misses = 0;
           rows = 0;
@@ -246,7 +244,6 @@ let record t ~fingerprint ~branch ~wall_s ?(rows = 0) ?(cache = Uncached)
   e.calls <- e.calls + 1;
   if error then e.errors <- e.errors + 1;
   e.wall_s <- e.wall_s +. wall_s;
-  if wall_s > e.max_s then e.max_s <- wall_s;
   (match cache with
   | Hit -> e.cache_hits <- e.cache_hits + 1
   | Miss -> e.cache_misses <- e.cache_misses + 1
@@ -289,9 +286,6 @@ let rec take n = function
 
 let top t n = take n (entries t)
 
-(* Interpolation inside a decade can overshoot the largest value seen. *)
-let quantile e q = Float.min e.max_s (Registry.quantile e.latency q)
-
 let reset t =
   Hashtbl.reset t.table;
   Hashtbl.reset t.branches;
@@ -327,9 +321,9 @@ let render_top t n =
              Printf.sprintf
                "   mean_ms %s p50_ms %s p95_ms %s max_ms %s errors %d hits %d misses %d rows %d"
                (ms mean)
-               (ms (quantile e 0.50))
-               (ms (quantile e 0.95))
-               (ms e.max_s) e.errors e.cache_hits e.cache_misses e.rows
+               (ms (Registry.quantile e.latency 0.50))
+               (ms (Registry.quantile e.latency 0.95))
+               (ms (Registry.hist_max e.latency)) e.errors e.cache_hits e.cache_misses e.rows
            in
            let rest =
              (if e.phase_s = [] then []
@@ -435,9 +429,9 @@ let json_entry e =
     (Export.json_string e.fingerprint)
     (Export.json_string e.branch)
     e.calls e.errors (json_num e.wall_s) (json_num mean)
-    (json_num (quantile e 0.50))
-    (json_num (quantile e 0.95))
-    (json_num e.max_s) e.cache_hits e.cache_misses e.rows phases counters
+    (json_num (Registry.quantile e.latency 0.50))
+    (json_num (Registry.quantile e.latency 0.95))
+    (json_num (Registry.hist_max e.latency)) e.cache_hits e.cache_misses e.rows phases counters
 
 let json_center total (name, c) =
   let share = if total > 0.0 then center_wall c /. total else 0.0 in

@@ -72,7 +72,6 @@ type entry = {
   mutable calls : int;
   mutable errors : int;
   mutable wall_s : float;  (** total wall time, seconds *)
-  mutable max_s : float;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable rows : int;  (** total rows returned *)
@@ -101,11 +100,6 @@ val entries : t -> entry list
     fingerprint then branch — deterministic). *)
 
 val top : t -> int -> entry list
-
-val quantile : entry -> float -> float
-(** Estimated latency q-quantile in seconds from the decade histogram
-    (interpolated; the overflow bucket reports its lower bound), never
-    above the entry's [max_s]. *)
 
 val reset : t -> unit
 (** Empty the store and both cost-center tables; counters restart. *)

@@ -416,6 +416,7 @@ let active_domain t =
   Vset.elements dom
 
 let fold_facts f t init = Tid.Map.fold f t.by_tid init
+let iter_sorted f t = Fact.Map.iter (fun fact _ -> f fact) t.by_fact
 
 let pp ppf t =
   let pp_one ppf (tid, f) = Format.fprintf ppf "%a: %a" Tid.pp tid Fact.pp f in

@@ -91,6 +91,11 @@ val active_domain : t -> Value.t list
 (** All distinct non-null values occurring in the instance, sorted. *)
 
 val fold_facts : (Tid.t -> Fact.t -> 'a -> 'a) -> t -> 'a -> 'a
+
+val iter_sorted : (Fact.t -> unit) -> t -> unit
+(** Every fact once, in {!Fact.compare} order — the order is a function
+    of the fact set alone, whatever the insertion history or tids. *)
+
 val pp : Format.formatter -> t -> unit
 
 (** {1 Secondary indexes}

@@ -50,14 +50,16 @@ let str s = Str s
 let real r = Real r
 let bool b = Bool b
 
-let pp ppf = function
-  | Int x -> Format.pp_print_int ppf x
-  | Real r -> Format.pp_print_float ppf r
-  | Str s -> Format.pp_print_string ppf s
-  | Bool b -> Format.pp_print_bool ppf b
-  | Null -> Format.pp_print_string ppf "NULL"
+(* No formatter per value: answer rendering calls this once per cell.
+   [pp] prints the same bytes. *)
+let to_string = function
+  | Int x -> Int.to_string x
+  | Real r -> string_of_float r
+  | Str s -> s
+  | Bool b -> string_of_bool b
+  | Null -> "NULL"
 
-let to_string v = Format.asprintf "%a" pp v
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let hash = function
   | Int x -> Hashtbl.hash (2, x)

@@ -2,10 +2,13 @@
 
     Certain answers (QUERY), repair counts (REPAIRS) and inconsistency
     measures (MEASURE) are memoized in a shared capacity-bounded
-    {!Lru} cache keyed by instance digest × semantics/method × query, so
-    equal data loaded under different session ids shares entries.  An
-    UPDATE rewrites the session's digest {e and} eagerly drops the
-    entries inserted on the session's behalf.  CHECK is answered
+    {!Lru} cache keyed by session digest × semantics/method × query
+    (see {!Session.digest_of}).  Equal documents loaded under different
+    session ids share entries, and so do their sessions after the same
+    updates; the digest's injective encoding keeps look-alike constants
+    ([1] and ["1"]) apart.  An UPDATE chains the session's digest in
+    O(|fact|) {e and} eagerly drops the entries inserted on the
+    session's behalf.  CHECK is answered
     directly — it is the cheap baseline the cache is measured against.
 
     Execution failures (unknown session, unknown query, inapplicable

@@ -19,26 +19,56 @@ let count = Hashtbl.length
    definitions (a re-LOAD may redefine a query name — or a relation's
    attributes — over the same facts; ANALYZE output in particular
    depends on the schema alone, so omitting it would let a re-LOAD
-   serve a stale memoized analysis). *)
+   serve a stale memoized analysis).  The encoding is injective: every
+   value carries a type tag and every string its length, so [1] and
+   ["1"], or [null] and ["NULL"], never digest alike.  Schema, ICs and
+   queries are plain data, for which [Marshal] without sharing is a
+   faithful encoding; facts are walked in [Fact.compare] order, so equal
+   documents digest alike whatever their row order. *)
+let add_string b s =
+  Buffer.add_int64_le b (Int64.of_int (String.length s));
+  Buffer.add_string b s
+
+let add_fact b (f : Fact.t) =
+  add_string b f.rel;
+  Buffer.add_int64_le b (Int64.of_int (Array.length f.row));
+  Array.iter
+    (fun (v : Relational.Value.t) ->
+      match v with
+      | Null -> Buffer.add_char b 'N'
+      | Bool x -> Buffer.add_char b (if x then 'T' else 'F')
+      | Int i ->
+          Buffer.add_char b 'I';
+          Buffer.add_int64_le b (Int64.of_int i)
+      | Real r ->
+          Buffer.add_char b 'R';
+          Buffer.add_int64_le b (Int64.bits_of_float r)
+      | Str s ->
+          Buffer.add_char b 'S';
+          add_string b s)
+    f.row
+
 let digest_of (doc : Cqa.Parse.document) =
-  let schema = Format.asprintf "%a" Relational.Schema.pp doc.schema in
-  let facts =
-    Instance.fact_list doc.instance
-    |> List.map Fact.to_string
-    |> List.sort String.compare
-  in
-  let ics =
-    List.map (fun ic -> Format.asprintf "%a" Constraints.Ic.pp ic) doc.ics
-  in
-  let queries =
-    List.map
-      (fun (name, q) -> Format.asprintf "%s := %a" name Logic.Cq.pp q)
-      doc.queries
-  in
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          ((schema :: ics) @ ("" :: facts) @ ("" :: queries))))
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "load";
+  add_string b
+    (Marshal.to_string
+       (Relational.Schema.relations doc.schema, doc.ics, doc.queries)
+       [ Marshal.No_sharing ]);
+  Instance.iter_sorted (add_fact b) doc.instance;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* An UPDATE chains the digest in O(|fact|) instead of re-reading the
+   session: equal digests then mean the same LOAD followed by the same
+   updates.  Equal contents reached by different paths stop sharing
+   entries, which costs hits but never serves a stale answer. *)
+let chain digest op fact =
+  let b = Buffer.create 64 in
+  Buffer.add_string b "update";
+  Buffer.add_string b digest;
+  Buffer.add_char b (match op with `Add -> '+' | `Del -> '-');
+  add_fact b fact;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 let engine_of (doc : Cqa.Parse.document) =
   Cqa.Engine.create ~schema:doc.schema ~ics:doc.ics doc.instance
@@ -92,5 +122,5 @@ let apply_update t ~op ~rel values =
   | instance ->
       t.doc <- { t.doc with instance };
       t.engine <- engine_of t.doc;
-      t.digest <- digest_of t.doc;
+      t.digest <- chain t.digest op fact;
       Ok ()

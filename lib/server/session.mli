@@ -4,9 +4,10 @@
     engine built over it.  Sessions outlive connections — that is the
     point of the serving layer: the parse and engine construction cost is
     paid once per LOAD and amortized over many requests.  Each session
-    carries a digest of its instance and constraints (the memoization key
-    prefix, see {!Handler}) and remembers which cache keys were inserted
-    on its behalf so an UPDATE can invalidate exactly them. *)
+    carries a digest (the memoization key prefix, see {!Handler}) — set
+    by {!digest_of} at LOAD and chained by every {!apply_update} — and
+    remembers which cache keys were inserted on its behalf so an UPDATE
+    can invalidate exactly them. *)
 
 type t = {
   id : string;
@@ -41,8 +42,12 @@ val tracked_keys : store -> int
     an UPDATE would invalidate) — the [sessions.tracked_keys] gauge. *)
 
 val digest_of : Cqa.Parse.document -> string
-(** Hex digest over the instance's fact set and the constraint list —
-    two sessions holding equal data share cache entries. *)
+(** Hex MD5 over an injective encoding of the schema, the ICs, the query
+    definitions and the facts (in {!Relational.Fact.compare} order; each
+    value tagged with its type, each string prefixed with its length),
+    so [1] and ["1"], or [null] and ["NULL"], never digest alike.  One
+    pass over the facts, no sort, no [Format]; equal documents digest
+    alike, so sessions loaded from them share cache entries. *)
 
 val remember_key : t -> string -> unit
 (** Record that a cache entry with this key was inserted for this
@@ -54,6 +59,9 @@ val take_keys : t -> string list
 val apply_update :
   t -> op:[ `Add | `Del ] -> rel:string -> Relational.Value.t list ->
   (unit, string) result
-(** Insert or delete one fact, rebuild the engine and refresh the
-    digest.  Errors (unknown relation, arity mismatch) leave the session
-    unchanged. *)
+(** Insert or delete one fact, rebuild the engine and chain the digest
+    in O(|fact|): MD5 of the old digest, the operation and the encoded
+    fact.  Equal digests thus mean the same LOAD followed by the same
+    updates; equal contents reached by different updates stop sharing
+    cache entries.  Errors (unknown relation, arity mismatch) leave the
+    session unchanged. *)

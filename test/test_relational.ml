@@ -152,10 +152,64 @@ let prop_tvl_lattice =
       && equal ((a ||| b) ||| c) (a ||| (b ||| c))
       && equal (not_ (not_ a)) a)
 
+(* [Value.to_string] skips the formatter; it must print the bytes the
+   Format printers did, strings with newlines and odd floats included. *)
+let prop_value_to_string_as_format =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map Value.int int;
+          map Value.real
+            (oneof [ float; oneofl [ nan; infinity; neg_infinity; -0.0; 0.1 ] ]);
+          map Value.str (string_size ~gen:printable (int_range 0 200));
+          map Value.str (oneofl [ "a\nb"; String.make 120 ' '; "NULL" ]);
+          map Value.bool bool;
+          return Value.Null;
+        ])
+  in
+  let old = function
+    | Value.Int x -> Format.asprintf "%a" Format.pp_print_int x
+    | Real r -> Format.asprintf "%a" Format.pp_print_float r
+    | Str s -> Format.asprintf "%a" Format.pp_print_string s
+    | Bool b -> Format.asprintf "%a" Format.pp_print_bool b
+    | Null -> Format.asprintf "%a" Format.pp_print_string "NULL"
+  in
+  QCheck.Test.make ~count:300 ~name:"Value.to_string prints what Format did"
+    (QCheck.make ~print:old gen)
+    (fun v ->
+      Value.to_string v = old v && Format.asprintf "%a" Value.pp v = old v)
+
+let test_iter_sorted () =
+  let schema = Schema.of_list [ ("R", [ "a" ]); ("S", [ "a"; "b" ]) ] in
+  let facts =
+    [
+      Fact.make "S" [ Value.str "1"; Value.Null ];
+      Fact.make "R" [ Value.int 2 ];
+      Fact.make "S" [ Value.int 1; Value.Null ];
+      Fact.make "R" [ Value.Null ];
+      Fact.make "R" [ Value.str "NULL" ];
+    ]
+  in
+  let walk i =
+    let acc = ref [] in
+    Instance.iter_sorted (fun f -> acc := f :: !acc) i;
+    List.rev !acc
+  in
+  let forward = walk (Instance.of_facts schema facts) in
+  Alcotest.(check bool) "Fact.compare order" true
+    (List.equal Fact.equal forward (List.sort Fact.compare facts));
+  Alcotest.(check bool) "insertion order does not matter" true
+    (List.equal Fact.equal forward
+       (walk (Instance.of_facts schema (List.rev facts))))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_tvl_de_morgan;
     QCheck_alcotest.to_alcotest prop_tvl_lattice;
+    QCheck_alcotest.to_alcotest prop_value_to_string_as_format;
+    Alcotest.test_case "iter_sorted walks facts in Fact.compare order" `Quick
+      test_iter_sorted;
     Alcotest.test_case "value equality and sql_eq" `Quick test_value_equality;
     Alcotest.test_case "three-valued truth tables" `Quick test_tvl_tables;
     Alcotest.test_case "schema declarations" `Quick test_schema;

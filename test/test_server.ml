@@ -624,6 +624,234 @@ let test_explain_always_shows_plan () =
   Alcotest.(check bool) "method=datalog ok" true (q2.P.status = `Ok);
   Alcotest.(check (list string)) "datalog certain answer" [ "1" ] q2.P.body
 
+(* ---- digest: look-alike constants, model-based traffic -------------- *)
+
+(* [1] and ["1"] print alike, and so do [null] and ["NULL"]; a digest
+   built from printed facts let a session answer from another's cache
+   entry.  Every answer must equal a fresh handler's. *)
+let test_digest_tells_lookalikes_apart () =
+  let doc first query =
+    [ "relation T(k, v)"; "row T(" ^ first ^ ", 2)"; "query q() :- " ^ query ]
+  in
+  let answer ?(h = Server.Handler.create ()) sid payload =
+    ignore (Server.Handler.dispatch h ~payload (P.Load sid));
+    let r = dispatch_line h ("QUERY " ^ sid ^ " q") in
+    (r.P.head, r.P.body)
+  in
+  List.iter
+    (fun (a, b, query) ->
+      let shared = Server.Handler.create () in
+      List.iter
+        (fun (sid, first) ->
+          let payload = doc first query in
+          Alcotest.(check (pair string (list string)))
+            (Printf.sprintf "%s: T(%s, 2) against %s" sid first query)
+            (answer "fresh" payload) (answer ~h:shared sid payload))
+        [ ("a", a); ("b", b) ])
+    [ ("1", "\"1\"", "T(1, Y)"); ("null", "\"NULL\"", "T(\"NULL\", Y)") ]
+
+(* Two sessions from one LOAD that then add and delete the same fact
+   must not end on one digest: the chain covers the operation too. *)
+let test_update_chain_covers_op () =
+  let payload = [ "relation T(k, v)"; "row T(1, 2)"; "query q() :- T(1, Y)" ] in
+  let h = Server.Handler.create () in
+  List.iter
+    (fun sid -> ignore (Server.Handler.dispatch h ~payload (P.Load sid)))
+    [ "a"; "b" ];
+  ignore (dispatch_line h "UPDATE a add T(1, 2)");
+  ignore (dispatch_line h "UPDATE b del T(1, 2)");
+  Alcotest.(check (list string)) "a still holds T(1, 2)" [ "true" ]
+    (dispatch_line h "QUERY a q").P.body;
+  Alcotest.(check (list string)) "b no longer does" []
+    (dispatch_line h "QUERY b q").P.body
+
+(* STATS latency quantiles interpolate inside decade buckets; with every
+   request taking the same 0.3 ms (one clock step), none may read above
+   that value, which is also the mean. *)
+let test_stats_quantiles_within_max () =
+  let now = ref 0.0 in
+  let clock () =
+    now := !now +. 3e-4;
+    !now
+  in
+  let h = Server.Handler.create ~clock () in
+  load_session h "s1";
+  for _ = 1 to 3 do
+    ignore (dispatch_line h "CHECK s1")
+  done;
+  let stats = dispatch_line h "STATS" in
+  let line =
+    List.find
+      (fun l -> String.length l > 14 && String.sub l 0 14 = "latency_check ")
+      stats.P.body
+  in
+  let field name =
+    List.find_map
+      (fun kv ->
+        match String.split_on_char '=' kv with
+        | [ k; v ] when k = name -> Some (float_of_string v)
+        | _ -> None)
+      (String.split_on_char ' ' line)
+    |> Option.get
+  in
+  let max_us = field "mean_us" in
+  Alcotest.(check (float 0.01)) "each CHECK took 300 us" 300.0 max_us;
+  List.iter
+    (fun q ->
+      Alcotest.(check bool) (q ^ " <= max") true (field q <= max_us +. 0.05))
+    [ "p50_us"; "p95_us"; "p99_us" ]
+
+(* Random LOAD/UPDATE/QUERY/CLOSE traffic over three sessions, each
+   QUERY checked against a fresh engine over the model document.  LOADs
+   draw from two documents and their look-alike twins (every [1] made
+   ["1"], every [null] made ["NULL"], and back), so equal documents and
+   near-collisions are both common; round trips add a row and delete it
+   again. *)
+type model_op =
+  | M_load of int * string list
+  | M_update of int * [ `Add | `Del ] * string
+  | M_round_trip of int * string
+  | M_query of int * string * P.method_
+  | M_close of int
+
+let model_base =
+  [
+    "relation T(k, v)";
+    "key T(k)";
+    "query q(X) :- T(X, Y)";
+    "query v(Y) :- T(X, Y)";
+    "query one() :- T(1, Y)";
+    "query str1() :- T(\"1\", Y)";
+    "query nul() :- T(\"NULL\", Y)";
+    "query j(X) :- T(X, Y), T(Y, Z)";
+  ]
+
+let model_constants = [ "1"; "\"1\""; "2"; "\"2\""; "null"; "\"NULL\"" ]
+
+let twin = function
+  | "1" -> "\"1\""
+  | "\"1\"" -> "1"
+  | "2" -> "\"2\""
+  | "\"2\"" -> "2"
+  | "null" -> "\"NULL\""
+  | "\"NULL\"" -> "null"
+  | c -> c
+
+let gen_model_ops =
+  let open QCheck2.Gen in
+  let constants = pair (oneofl model_constants) (oneofl model_constants) in
+  let text (k, v) = k ^ ", " ^ v in
+  let row = map text constants in
+  let* docs = list_repeat 2 (list_size (int_range 0 3) constants) in
+  let pool =
+    List.concat_map
+      (fun d ->
+        [ List.map text d; List.map (fun (k, v) -> text (twin k, twin v)) d ])
+      docs
+  in
+  let sid = int_range 0 2 in
+  let op =
+    frequency
+      [
+        (2, map2 (fun s d -> M_load (s, d)) sid (oneofl pool));
+        ( 3,
+          map3
+            (fun s op r -> M_update (s, op, r))
+            sid (oneofl [ `Add; `Del ]) row );
+        (1, map2 (fun s r -> M_round_trip (s, r)) sid row);
+        ( 5,
+          map3
+            (fun s q m -> M_query (s, q, m))
+            sid
+            (oneofl [ "q"; "v"; "one"; "str1"; "nul"; "j" ])
+            (oneofl [ P.Auto; P.Enum ]) );
+        (1, map (fun s -> M_close s) sid);
+      ]
+  in
+  list_size (int_range 1 30) op
+
+let update_line s op r =
+  Printf.sprintf "UPDATE s%d %s T(%s)" s
+    (match op with `Add -> "add" | `Del -> "del")
+    r
+
+let query_line s q m =
+  Printf.sprintf "QUERY s%d %s%s" s q
+    (if m = P.Enum then " method=enum" else "")
+
+let print_model_op = function
+  | M_load (s, rows) -> Printf.sprintf "LOAD s%d [%s]" s (String.concat "; " rows)
+  | M_update (s, op, r) -> update_line s op r
+  | M_round_trip (s, r) -> Printf.sprintf "ROUND-TRIP s%d T(%s)" s r
+  | M_query (s, q, m) -> query_line s q m
+  | M_close s -> Printf.sprintf "CLOSE s%d" s
+
+let render_row row =
+  if row = [] then "true"
+  else String.concat ", " (List.map Relational.Value.to_string row)
+
+let prop_model_server =
+  QCheck2.Test.make ~count:2000
+    ~name:"server answers equal a fresh engine over the model"
+    ~print:(fun ops -> String.concat "\n" (List.map print_model_op ops))
+    gen_model_ops
+    (fun ops ->
+      let h = Server.Handler.create ~cache_capacity:8 () in
+      let model = Hashtbl.create 3 in
+      let payload rows =
+        model_base @ List.map (fun r -> "row T(" ^ r ^ ")") rows
+      in
+      let update s op r =
+        let res = dispatch_line h (update_line s op r) in
+        match Hashtbl.find_opt model s with
+        | None -> res.P.status = `Err
+        | Some rows ->
+            let rows =
+              match op with
+              | `Add -> if List.mem r rows then rows else rows @ [ r ]
+              | `Del -> List.filter (( <> ) r) rows
+            in
+            Hashtbl.replace model s rows;
+            res.P.status = `Ok
+            && res.P.head = Printf.sprintf "size=%d" (List.length rows)
+      in
+      let step = function
+        | M_load (s, rows) ->
+            (* Set semantics: a repeated row is one fact. *)
+            Hashtbl.replace model s (List.sort_uniq compare rows);
+            let sid = Printf.sprintf "s%d" s in
+            (Server.Handler.dispatch h ~payload:(payload rows) (P.Load sid))
+              .P.status = `Ok
+        | M_update (s, op, r) -> update s op r
+        | M_round_trip (s, r) -> update s `Add r && update s `Del r
+        | M_close s ->
+            let was = Hashtbl.mem model s in
+            Hashtbl.remove model s;
+            let r = dispatch_line h (Printf.sprintf "CLOSE s%d" s) in
+            r.P.status = if was then `Ok else `Err
+        | M_query (s, q, m) -> (
+            let r = dispatch_line h (query_line s q m) in
+            match Hashtbl.find_opt model s with
+            | None -> r.P.status = `Err
+            | Some rows ->
+                let doc =
+                  Cqa.Parse.document_of_string (String.concat "\n" (payload rows))
+                in
+                let engine =
+                  Cqa.Engine.create ~schema:doc.schema ~ics:doc.ics doc.instance
+                in
+                let expected =
+                  Cqa.Engine.consistent_answers
+                    ~method_:(if m = P.Enum then `Repair_enumeration else `Auto)
+                    engine (Cqa.Parse.find_query doc q)
+                in
+                r.P.status = `Ok
+                && r.P.head = Printf.sprintf "answers=%d" (List.length expected)
+                && List.sort compare r.P.body
+                   = List.sort compare (List.map render_row expected))
+      in
+      List.for_all step ops)
+
 (* ---- protocol totality --------------------------------------------- *)
 
 (* Request lines built from the protocol's own vocabulary and from the
@@ -758,6 +986,11 @@ let suite =
       test_listen_unix_refuses_non_socket;
     Alcotest.test_case "equal instances share cache entries" `Quick
       test_handler_shared_cache_across_sessions;
+    Alcotest.test_case "digest tells 1 from \"1\" and null from \"NULL\""
+      `Quick test_digest_tells_lookalikes_apart;
+    Alcotest.test_case "UPDATE chains the operation into the digest" `Quick
+      test_update_chain_covers_op;
+    QCheck_alcotest.to_alcotest prop_model_server;
     Alcotest.test_case "repairs, measure, check" `Quick
       test_handler_repairs_measure_check;
     Alcotest.test_case "ERR responses keep the session alive" `Quick
@@ -771,6 +1004,8 @@ let suite =
       test_response_truncation;
     Alcotest.test_case "STATS renders solver counters" `Quick
       test_stats_includes_solver_counters;
+    Alcotest.test_case "STATS latency quantiles never exceed the max" `Quick
+      test_stats_quantiles_within_max;
     Alcotest.test_case "end-to-end socket round-trip" `Quick test_e2e_socket;
     Alcotest.test_case "max-requests answers the last request" `Quick
       test_max_requests_answers_last_request;

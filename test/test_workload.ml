@@ -285,7 +285,7 @@ let test_stats_aggregation_and_reset () =
       Alcotest.(check int) "hits" 1 e.cache_hits;
       Alcotest.(check int) "misses" 1 e.cache_misses;
       Alcotest.(check (float 1e-9)) "wall" 0.3 e.wall_s;
-      Alcotest.(check (float 1e-9)) "max" 0.2 e.max_s;
+      Alcotest.(check (float 1e-9)) "max" 0.2 (Obs.Registry.hist_max e.latency);
       Alcotest.(check bool) "counters merged" true
         (e.counters = [ ("join.hash", 2); ("sat.decisions", 15) ])
   | es -> Alcotest.failf "expected one entry, got %d" (List.length es));
@@ -309,7 +309,8 @@ let test_stats_quantile_within_max () =
   match Obs.Stats.entries st with
   | [ e ] ->
       Alcotest.(check bool) "p95 <= max" true
-        (Obs.Stats.quantile e 0.95 <= e.Obs.Stats.max_s)
+        (Obs.Registry.quantile e.latency 0.95
+        <= Obs.Registry.hist_max e.Obs.Stats.latency)
   | _ -> Alcotest.fail "expected one entry"
 
 let test_phase_attribution_partitions () =
